@@ -1,5 +1,5 @@
 """Tour of the geometry layer: clouds, resolution, rigid fits, local
-frames, neighbor queries, and the PLY / correspondence file formats.
+frames, and the PLY / correspondence file formats.
 
 Run from the repository root:  python demos/01_geometry_and_files.py
 """
@@ -13,13 +13,10 @@ from corrgroup import (
     PointCloud,
     RigidTransform,
     apply_transform,
-    build_neighbor_index,
     estimate_lrf,
     estimate_rigid_transform,
-    knn,
     load_ply,
     make_test_model,
-    radius_search,
     save_ply,
 )
 from corrgroup.synthbench import random_rotation
@@ -50,15 +47,6 @@ frame = estimate_lrf(model, center, support_radius=15 * model.resolution)
 frame_moved = estimate_lrf(moved, pose.apply(center), 15 * model.resolution)
 drift = np.abs(frame_moved.axes - frame.axes @ pose.rotation.T).max()
 print(f"local frame repeatability under the move: {drift:.2e}")
-
-# Neighbor queries come back distance-sorted with index tie-breaking,
-# exactly like a linear scan would order them.
-index = build_neighbor_index(model)
-ids, dists = knn(index, center, k=5)
-print(f"5 nearest neighbors of point 123: {[int(i) for i in ids]} "
-      f"(nearest at {dists[1]:.4f})")
-ids, _ = radius_search(index, center, radius=3 * model.resolution)
-print(f"{len(ids)} points within 3 pr of point 123")
 
 # Clouds round-trip exactly through PLY (ASCII or binary little-endian).
 with tempfile.TemporaryDirectory() as tmp:

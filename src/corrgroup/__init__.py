@@ -36,16 +36,12 @@ from .geom3d import (
     DegenerateSampleError,
     InsufficientSupportError,
     LocalReferenceFrame,
-    NeighborIndex,
     PointCloud,
     RigidTransform,
     apply_transform,
-    build_neighbor_index,
     compute_resolution,
     estimate_lrf,
     estimate_rigid_transform,
-    knn,
-    radius_search,
 )
 from .grouping import (
     AlgorithmParams,

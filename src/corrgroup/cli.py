@@ -123,17 +123,6 @@ _PARAM_FLAGS: dict[str, dict] = {
     "si_delta_pr": dict(type=float),
 }
 
-_DATA_DEFAULTS = {
-    "model": "torus", "model_points": 4000, "model_seed": 0,
-    "n": 1000, "inlier_ratio": 0.5, "jitter_pr": 0.5,
-    "outlier_offset_pr": 10.0, "lrf_noise_deg": 0.0,
-    "noise_sigma_pr": 0.0, "downsample_ratio": 1.0,
-    "sim_inlier_low": 0.7, "sim_inlier_high": 0.98,
-    "sim_outlier_low": 0.05, "sim_outlier_high": 0.6,
-    "seed": 0,
-}
-
-
 def _add_flags(parser: argparse.ArgumentParser, flags: dict[str, dict]) -> None:
     for dest, spec in flags.items():
         parser.add_argument("--" + dest.replace("_", "-"), dest=dest, default=None, **spec)
@@ -244,35 +233,34 @@ def _selected_algorithms(args) -> tuple[str, ...]:
     return ALGORITHM_NAMES
 
 
-def _recipes_from_args(args) -> tuple[str, int, int, SceneRecipe, CorrespondenceRecipe, int]:
+def _given(args, **fields: str) -> dict:
+    """Field name -> flag value, for the flags in ``fields`` that are set."""
+    values = {field: getattr(args, flag, None) for field, flag in fields.items()}
+    return {field: value for field, value in values.items() if value is not None}
+
+
+def _spec_from_args(args) -> tuple[evaluation.InstanceSpec, int]:
+    """The instance spec the data and parameter flags describe, and the base seed.
+
+    Only flags that are set reach the dataclasses, so their defaults are
+    the only ones.
+    """
+    params = _params_from_args(args)
     try:
-        similarity = SimilarityModel(
-            inlier_low=_pick(args, "sim_inlier_low", 0.7),
-            inlier_high=_pick(args, "sim_inlier_high", 0.98),
-            outlier_low=_pick(args, "sim_outlier_low", 0.05),
-            outlier_high=_pick(args, "sim_outlier_high", 0.6),
-        )
-        scene = SceneRecipe(
-            noise_sigma_pr=_pick(args, "noise_sigma_pr", 0.0),
-            downsample_ratio=_pick(args, "downsample_ratio", 1.0),
-        )
-        corr = CorrespondenceRecipe(
-            n_total=_pick(args, "n", 1000),
-            inlier_ratio=_pick(args, "inlier_ratio", 0.5),
-            inlier_jitter_pr=_pick(args, "jitter_pr", 0.5),
-            outlier_min_offset_pr=_pick(args, "outlier_offset_pr", 10.0),
-            lrf_noise_deg=_pick(args, "lrf_noise_deg", 0.0),
-            similarity_model=similarity,
-        )
+        similarity = SimilarityModel(**_given(
+            args, inlier_low="sim_inlier_low", inlier_high="sim_inlier_high",
+            outlier_low="sim_outlier_low", outlier_high="sim_outlier_high"))
+        scene = SceneRecipe(**_given(
+            args, noise_sigma_pr="noise_sigma_pr", downsample_ratio="downsample_ratio"))
+        corr = CorrespondenceRecipe(similarity_model=similarity, **_given(
+            args, n_total="n", inlier_ratio="inlier_ratio", inlier_jitter_pr="jitter_pr",
+            outlier_min_offset_pr="outlier_offset_pr", lrf_noise_deg="lrf_noise_deg"))
+        spec = evaluation.InstanceSpec(scene=scene, corr=corr, params=params, **_given(
+            args, model_kind="model", model_points="model_points", model_seed="model_seed",
+            epsilon_pr="epsilon_pr"))
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from None
-    return (
-        _pick(args, "model", "torus"),
-        int(_pick(args, "model_points", 4000)),
-        int(_pick(args, "model_seed", 0)),
-        scene, corr,
-        int(_pick(args, "seed", 0)),
-    )
+    return spec, int(_pick(args, "seed", 0))
 
 
 def _params_from_args(args, *, rng_seed: int = 0) -> AlgorithmParams:
@@ -306,16 +294,16 @@ def _worker_count() -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    kind, model_points, model_seed, scene_recipe, corr_recipe, seed = _recipes_from_args(args)
+    spec, seed = _spec_from_args(args)
     seeds = np.random.SeedSequence(entropy=seed, spawn_key=(0,)).generate_state(3, dtype=np.uint64)
-    scene_recipe = replace(scene_recipe, rotation_seed=int(seeds[0]), rng_seed=int(seeds[1]))
-    corr_recipe = replace(corr_recipe, rng_seed=int(seeds[2]))
+    scene_recipe = replace(spec.scene, rotation_seed=int(seeds[0]), rng_seed=int(seeds[1]))
+    corr_recipe = replace(spec.corr, rng_seed=int(seeds[2]))
 
     out_dir = Path(_pick(args, "out_dir", "."))
     prefix = _pick(args, "prefix", "synth")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    model = make_test_model(kind, model_points, model_seed)
+    model = make_test_model(spec.model_kind, spec.model_points, spec.model_seed)
     scene, ground_truth = generate_scene(model, scene_recipe)
     cset = generate_correspondences(model, scene, ground_truth, corr_recipe)
     if args.no_lrfs:
@@ -391,14 +379,8 @@ def cmd_sweep(args) -> int:
         raise ValidationFailure("n-correspondences levels must be integers")
 
     algorithms = _selected_algorithms(args)
-    kind, model_points, model_seed, scene_recipe, corr_recipe, seed = _recipes_from_args(args)
-    params = _params_from_args(args)
+    spec, seed = _spec_from_args(args)
     try:
-        spec = evaluation.InstanceSpec(
-            model_kind=kind, model_points=model_points, model_seed=model_seed,
-            scene=scene_recipe, corr=corr_recipe, params=params,
-            epsilon_pr=_pick(args, "epsilon_pr", 4.0),
-        )
         plan = evaluation.SweepPlan(
             axis=axis_internal, levels=levels,
             trials_per_level=int(_pick(args, "trials", 1)),
@@ -428,12 +410,7 @@ def cmd_bench(args) -> int:
     if repeats < 1:
         raise ValidationFailure("--repeats must be >= 1")
     algorithms = _selected_algorithms(args)
-    kind, model_points, model_seed, scene_recipe, corr_recipe, seed = _recipes_from_args(args)
-    params = _params_from_args(args)
-    spec = evaluation.InstanceSpec(
-        model_kind=kind, model_points=model_points, model_seed=model_seed,
-        scene=scene_recipe, corr=corr_recipe, params=params,
-    )
+    spec, seed = _spec_from_args(args)
     records = evaluation.time_algorithms(sizes, algorithms, spec, repeats, base_seed=seed)
     out_path = Path(_pick(args, "out", "bench.csv"))
     evaluation.write_csv(records, out_path)

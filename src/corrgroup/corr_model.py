@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .geom3d import LocalReferenceFrame, RigidTransform, _as_vec3
 
@@ -157,25 +158,36 @@ def distance_compatibility(c1: Correspondence, c2: Correspondence, t_gc: float) 
     return residual, residual < t_gc
 
 
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Dense symmetric Euclidean distance matrix."""
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def pairwise_lengths(source_points: np.ndarray, target_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d_s, d_t): source- and target-side segment lengths of every
+    correspondence pair, the one n x n length computation behind the
+    pairwise constraints of st, gc and si."""
+    return cdist(source_points, source_points), cdist(target_points, target_points)
+
+
+def _rigidity_from_lengths(d_s: np.ndarray, d_t: np.ndarray) -> np.ndarray:
+    """min(d_s/d_t, d_t/d_s) per pair, 0 where either length is 0.
+
+    Built in a single output array so the peak stays at four n x n
+    matrices: d_s, d_t, the output and one quotient.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = d_s / d_t
+        np.minimum(scores, d_t / d_s, out=scores)
+    scores[(d_s == 0.0) | (d_t == 0.0)] = 0.0
+    return scores
 
 
 def pairwise_rigidity(source_points: np.ndarray, target_points: np.ndarray) -> np.ndarray:
     """Matrix of rigidity scores for all correspondence pairs."""
-    d_s = pairwise_distances(source_points)
-    d_t = pairwise_distances(target_points)
-    both = (d_s > 0.0) & (d_t > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(both, np.minimum(d_s / d_t, d_t / d_s), 0.0)
-    return scores
+    return _rigidity_from_lengths(*pairwise_lengths(source_points, target_points))
 
 
 def pairwise_distance_residuals(source_points: np.ndarray, target_points: np.ndarray) -> np.ndarray:
     """Matrix of |d_s - d_t| residuals for all correspondence pairs."""
-    return np.abs(pairwise_distances(source_points) - pairwise_distances(target_points))
+    d_s, d_t = pairwise_lengths(source_points, target_points)
+    np.subtract(d_s, d_t, out=d_s)
+    return np.abs(d_s, out=d_s)
 
 
 # ---------------------------------------------------------------------------

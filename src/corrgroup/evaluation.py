@@ -30,6 +30,7 @@ from .corr_model import Correspondence, CorrespondenceSet
 from .geom3d import PointCloud, RigidTransform
 from .grouping import (
     ALGORITHM_NAMES,
+    ALGORITHMS,
     AlgorithmParams,
     GroupingResult,
     group_3dhv,
@@ -147,20 +148,15 @@ def run_algorithm(
     is supplied the source keypoints stand in (any fixed reference point
     preserves the vote-coincidence property).
     """
-    if name not in ALGORITHM_NAMES:
+    if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES}")
+    # Resolved through this module's namespace, so that a function rebound
+    # here is the one called (perfbench's self-test injects a faulty group_gc).
+    algorithm = globals()[ALGORITHMS[name].__name__]
     if name == "3dhv":
         cloud = source_cloud if source_cloud is not None else PointCloud(cset.source_points)
-        return group_3dhv(cset, params, cloud)
-    dispatch = {
-        "ss": group_ss,
-        "nnsr": group_nnsr,
-        "ransac": group_ransac,
-        "st": group_st,
-        "gc": group_gc,
-        "si": group_si,
-    }
-    return dispatch[name](cset, params)
+        return algorithm(cset, params, cloud)
+    return algorithm(cset, params)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +213,22 @@ def _trial_seeds(base_seed: int, level_idx: int, trial: int) -> tuple[int, int, 
     return tuple(int(s) for s in seq.generate_state(4, dtype=np.uint64))
 
 
-def _build_instance(plan: SweepPlan, level: float, level_idx: int, trial: int):
-    """Model, correspondence set, and per-trial params for one sweep cell."""
-    spec = plan.base
-    rot_seed, scene_seed, corr_seed, algo_seed = _trial_seeds(plan.base_seed, level_idx, trial)
+def _build_instance(spec: InstanceSpec, axis: str, level: float, seeds: tuple[int, int, int, int]):
+    """Model, correspondence set, and params for one sweep cell or bench repeat.
+
+    ``seeds`` are the rotation, scene, correspondence and algorithm seeds
+    of :func:`_trial_seeds`; ``level`` sets the nuisance ``axis``.
+    """
+    rot_seed, scene_seed, corr_seed, algo_seed = seeds
     scene_recipe = replace(spec.scene, rotation_seed=rot_seed, rng_seed=scene_seed)
     corr_recipe = replace(spec.corr, rng_seed=corr_seed)
-    if plan.axis == "noise_sigma_pr":
+    if axis == "noise_sigma_pr":
         scene_recipe = replace(scene_recipe, noise_sigma_pr=level)
-    elif plan.axis == "downsample_ratio":
+    elif axis == "downsample_ratio":
         scene_recipe = replace(scene_recipe, downsample_ratio=level)
-    elif plan.axis == "inlier_ratio":
+    elif axis == "inlier_ratio":
         corr_recipe = replace(corr_recipe, inlier_ratio=level)
-    elif plan.axis == "n_correspondences":
+    elif axis == "n_correspondences":
         corr_recipe = replace(corr_recipe, n_total=int(level))
     model = _cached_model(spec.model_kind, spec.model_points, spec.model_seed)
     scene, ground_truth = generate_scene(model, scene_recipe)
@@ -243,7 +242,8 @@ def _run_sweep_trial(plan: SweepPlan, level_idx: int, trial: int,
     """All records for one (level, trial) cell, in algorithm order."""
     level = plan.levels[level_idx]
     try:
-        model, cset, params = _build_instance(plan, level, level_idx, trial)
+        model, cset, params = _build_instance(
+            plan.base, plan.axis, level, _trial_seeds(plan.base_seed, level_idx, trial))
         records = []
         for name in algorithms:
             result = run_algorithm(name, cset, params, source_cloud=model)
@@ -264,7 +264,8 @@ def _run_epsilon_trial(plan: SweepPlan, trial: int,
                        algorithms: tuple[str, ...]) -> list[EvaluationRecord]:
     """Epsilon-axis trial: group once, judge at every level."""
     try:
-        model, cset, params = _build_instance(plan, plan.levels[0], 0, trial)
+        model, cset, params = _build_instance(
+            plan.base, plan.axis, plan.levels[0], _trial_seeds(plan.base_seed, 0, trial))
         records = []
         results = {name: run_algorithm(name, cset, params, source_cloud=model)
                    for name in algorithms}
@@ -343,22 +344,18 @@ def time_algorithms(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     algorithms = tuple(algorithms)
-    model = _cached_model(spec.model_kind, spec.model_points, spec.model_seed)
     records = []
     for size_idx, size in enumerate(sizes):
         size = int(size)
-        instances = []
-        for rep in range(repeats):
-            rot_seed, scene_seed, corr_seed, algo_seed = _trial_seeds(base_seed, size_idx, rep)
-            scene_recipe = replace(spec.scene, rotation_seed=rot_seed, rng_seed=scene_seed)
-            corr_recipe = replace(spec.corr, n_total=size, rng_seed=corr_seed)
-            scene, ground_truth = generate_scene(model, scene_recipe)
-            cset = generate_correspondences(model, scene, ground_truth, corr_recipe)
-            instances.append((cset, replace(spec.params, rng_seed=algo_seed)))
+        instances = [
+            _build_instance(spec, "n_correspondences", size, _trial_seeds(base_seed, size_idx, rep))
+            for rep in range(repeats)
+        ]
         for name in algorithms:
-            run_algorithm(name, instances[0][0], instances[0][1], source_cloud=model)  # warm-up
+            model, cset, params = instances[0]
+            run_algorithm(name, cset, params, source_cloud=model)  # warm-up
             elapsed = []
-            for cset, params in instances:
+            for model, cset, params in instances:
                 start = time.perf_counter_ns()
                 result = run_algorithm(name, cset, params, source_cloud=model)
                 elapsed.append(time.perf_counter_ns() - start)

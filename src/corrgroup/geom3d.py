@@ -1,5 +1,5 @@
-"""Core 3D geometry: point clouds, rigid transforms, neighbor search,
-resolution estimation, and local reference frames.
+"""Core 3D geometry: point clouds, rigid transforms, resolution
+estimation, and local reference frames.
 
 All types are immutable after construction and all operations are pure
 functions, so shared instances are safe to use from multiple threads.
@@ -13,9 +13,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
-
-# Subsample cap offered for resolution estimation on very large clouds.
-DEFAULT_RESOLUTION_CAP = 50_000
 
 
 class DegenerateSampleError(ValueError):
@@ -238,54 +235,3 @@ def estimate_lrf(cloud: PointCloud, center, support_radius: float) -> LocalRefer
         z = -z
     y = np.cross(z, x)
     return LocalReferenceFrame(np.vstack([x, y, z]))
-
-
-class NeighborIndex:
-    """Read-only spatial index over a point cloud.
-
-    Queries return exactly what a linear scan would: results sorted by
-    distance, with exact ties broken by ascending point index.
-    """
-
-    def __init__(self, cloud: PointCloud):
-        self.cloud = cloud
-        self._tree = cKDTree(cloud.points)
-
-
-def build_neighbor_index(cloud: PointCloud) -> NeighborIndex:
-    return NeighborIndex(cloud)
-
-
-def _sorted_hits(index: NeighborIndex, query: np.ndarray, candidates) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.asarray(candidates, dtype=np.intp)
-    dists = np.linalg.norm(index.cloud.points[idx] - query, axis=1) if idx.size else np.empty(0)
-    order = np.lexsort((idx, dists))
-    return idx[order], dists[order]
-
-
-def knn(index: NeighborIndex, query, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of the k nearest points (all points if k >= n)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    q = _as_vec3(query)
-    n = len(index.cloud)
-    if k >= n:
-        idx, dists = _sorted_hits(index, q, np.arange(n))
-        return idx, dists
-    kth = np.atleast_1d(index._tree.query(q, k=k)[0])[-1]
-    # Slightly inflated ball so boundary ties are never missed; the exact
-    # cut happens on recomputed distances in _sorted_hits.
-    ball = index._tree.query_ball_point(q, kth * (1.0 + 1e-12) + 1e-300)
-    idx, dists = _sorted_hits(index, q, ball)
-    return idx[:k], dists[:k]
-
-
-def radius_search(index: NeighborIndex, query, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of all points with distance <= radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    q = _as_vec3(query)
-    ball = index._tree.query_ball_point(q, radius * (1.0 + 1e-12))
-    idx, dists = _sorted_hits(index, q, ball)
-    keep = dists <= radius
-    return idx[keep], dists[keep]

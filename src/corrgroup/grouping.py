@@ -29,10 +29,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corr_model import CorrespondenceSet, pairwise_distance_residuals, pairwise_rigidity
+from .corr_model import (
+    CorrespondenceSet,
+    _rigidity_from_lengths,
+    pairwise_distance_residuals,
+    pairwise_lengths,
+    pairwise_rigidity,
+)
 from .geom3d import DegenerateSampleError, PointCloud, RigidTransform, estimate_rigid_transform
-
-ALGORITHM_NAMES = ("ss", "nnsr", "ransac", "st", "gc", "3dhv", "si")
 
 
 class NonConvergenceError(ArithmeticError):
@@ -354,8 +358,8 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
 
     src = cset.source_points
     tgt = cset.target_points
-    scores = pairwise_rigidity(src, tgt)
-    matrix = np.where(scores >= params.t_st, scores, 0.0)
+    matrix = pairwise_rigidity(src, tgt)
+    matrix[matrix < params.t_st] = 0.0
     np.fill_diagonal(matrix, 0.0)
     if not matrix.any():
         return _empty_result()
@@ -491,16 +495,15 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
 
     src = cset.source_points
     tgt = cset.target_points
-    rigidity = pairwise_rigidity(src, tgt)
+    source_dist, target_dist = pairwise_lengths(src, tgt)
+    rigidity = _rigidity_from_lengths(source_dist, target_dist)
+    del target_dist
 
     # kappa nearest neighbors per row by source-point distance (self excluded);
     # stable sort makes distance ties resolve by index.
-    source_dist = np.sqrt(np.maximum(
-        np.einsum("ij,ij->i", src, src)[:, None]
-        - 2.0 * (src @ src.T)
-        + np.einsum("ij,ij->i", src, src)[None, :], 0.0))
     np.fill_diagonal(source_dist, np.inf)
     neighbors = np.argsort(source_dist, axis=1, kind="stable")[:, :kappa]
+    del source_dist
 
     neighbor_pass = ratio_pass[neighbors]
     local_voters = neighbor_pass.sum(axis=1)
@@ -533,3 +536,16 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
         keep = np.flatnonzero(scores >= cutoff)
     return GroupingResult(tuple(int(i) for i in keep),
                           scores={int(i): float(scores[i]) for i in keep})
+
+
+# The one dispatch table; its order is the algorithm order of sweeps and reports.
+ALGORITHMS = {
+    "ss": group_ss,
+    "nnsr": group_nnsr,
+    "ransac": group_ransac,
+    "st": group_st,
+    "gc": group_gc,
+    "3dhv": group_3dhv,
+    "si": group_si,
+}
+ALGORITHM_NAMES = tuple(ALGORITHMS)

@@ -8,12 +8,9 @@ from corrgroup import (
     PointCloud,
     RigidTransform,
     apply_transform,
-    build_neighbor_index,
     compute_resolution,
     estimate_lrf,
     estimate_rigid_transform,
-    knn,
-    radius_search,
 )
 from corrgroup.synthbench import random_rotation
 
@@ -195,66 +192,3 @@ class TestEstimateLrf:
     def test_right_handed(self):
         frame = estimate_lrf(planar_ellipse_cloud(), [0.0, 0.0, 0.0], 2.0)
         assert np.linalg.det(frame.axes) == pytest.approx(1.0, abs=1e-9)
-
-
-class TestNeighborIndex:
-    def linear_scan(self, points, query, k=None, radius=None):
-        dists = np.linalg.norm(points - query, axis=1)
-        order = np.lexsort((np.arange(len(points)), dists))
-        if radius is not None:
-            order = [i for i in order if dists[i] <= radius]
-        if k is not None:
-            order = order[:k]
-        return list(order)
-
-    def test_knn_at_existing_point(self):
-        cloud = grid_cloud(side=3)
-        index = build_neighbor_index(cloud)
-        idx, dist = knn(index, cloud.points[13], k=1)
-        assert list(idx) == [13]
-        assert dist[0] == 0.0
-
-    def test_radius_smaller_than_all_distances(self):
-        cloud = grid_cloud(side=3)
-        index = build_neighbor_index(cloud)
-        idx, _ = radius_search(index, [10.0, 10.0, 10.0], radius=0.5)
-        assert len(idx) == 0
-
-    def test_knn_matches_linear_scan(self):
-        rng = np.random.default_rng(21)
-        pts = rng.normal(size=(500, 3))
-        index = build_neighbor_index(PointCloud(pts))
-        for _ in range(500):
-            q = rng.normal(size=3)
-            idx, dists = knn(index, q, k=10)
-            assert list(idx) == self.linear_scan(pts, q, k=10)
-            assert np.all(np.diff(dists) >= 0)
-
-    def test_knn_with_ties_prefers_low_index(self):
-        cloud = grid_cloud(side=3)  # many equidistant neighbors
-        index = build_neighbor_index(cloud)
-        q = cloud.points[13]
-        idx, _ = knn(index, q, k=7)
-        assert list(idx) == self.linear_scan(cloud.points, q, k=7)
-
-    def test_radius_matches_linear_scan(self):
-        rng = np.random.default_rng(22)
-        pts = rng.normal(size=(400, 3))
-        index = build_neighbor_index(PointCloud(pts))
-        for _ in range(500):
-            q = rng.normal(size=3) * 0.5
-            idx, _ = radius_search(index, q, radius=0.7)
-            assert list(idx) == self.linear_scan(pts, q, radius=0.7)
-
-    def test_k_larger_than_cloud_returns_all(self):
-        cloud = grid_cloud(side=2)
-        index = build_neighbor_index(cloud)
-        idx, _ = knn(index, [0.0, 0.0, 0.0], k=100)
-        assert len(idx) == len(cloud)
-
-    def test_invalid_arguments(self):
-        index = build_neighbor_index(grid_cloud(side=2))
-        with pytest.raises(ValueError):
-            knn(index, [0, 0, 0], k=0)
-        with pytest.raises(ValueError):
-            radius_search(index, [0, 0, 0], radius=0.0)
