@@ -3,30 +3,64 @@ constraints, and the text file formats for correspondence data.
 
 A correspondence pairs a source keypoint with a target keypoint and
 carries a feature similarity score plus the nearest / second-nearest
-feature distances that back ratio tests. Correspondence sets keep stable
-indices: every grouping algorithm reports its result as a subset of the
-input indices.
+feature distances that back ratio tests. A correspondence set stores them
+as columns, one row per correspondence, and keeps stable indices: every
+grouping algorithm reports its result as a subset of the row indices.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geom3d import LocalReferenceFrame, RigidTransform, _as_vec3
+from .geom3d import LocalReferenceFrame, RigidTransform, frame_faults
 
 
 class CorrespondenceFormatError(ValueError):
     """Malformed correspondence or ground-truth file content."""
 
 
+class _ColumnError(ValueError):
+    """A set value that fails validation; ``row`` is None for the resolution."""
+
+    def __init__(self, row: int | None, reason: str):
+        super().__init__(reason if row is None else f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
+def _validate_rows(source_points, target_points, similarities, nn_distances,
+                   second_nn_distances, source_frames=None, target_frames=None) -> None:
+    """Raise :class:`_ColumnError` naming the first row that fails a check,
+    with the first listed reason that row fails."""
+    checks = [
+        (~np.isfinite(np.hstack([source_points, target_points])).all(axis=1), "points must be finite"),
+        (~np.isfinite(similarities), "similarity must be finite"),
+        (~(np.isfinite(second_nn_distances) & (nn_distances >= 0) & (second_nn_distances >= 0)),
+         "feature distances must be finite and non-negative"),
+        (nn_distances > second_nn_distances, "nn_distance exceeds second_nn_distance"),
+    ]
+    if source_frames is not None:
+        checks += [(bad, "source " + reason) for bad, reason in frame_faults(source_frames)]
+        checks += [(bad, "target " + reason) for bad, reason in frame_faults(target_frames)]
+    first = None
+    for bad, reason in checks:
+        rows = np.flatnonzero(bad)
+        if rows.size and (first is None or rows[0] < first[0]):
+            first = (int(rows[0]), reason)
+    if first is not None:
+        raise _ColumnError(*first)
+
+
 @dataclass(frozen=True, eq=False)
 class Correspondence:
-    """A hypothesized match between a source point and a target point."""
+    """One correspondence as a record: a hypothesized match between a
+    source point and a target point."""
 
     source_point: np.ndarray
     target_point: np.ndarray
@@ -37,93 +71,129 @@ class Correspondence:
     target_lrf: LocalReferenceFrame | None = None
 
     def __post_init__(self):
-        src = _as_vec3(self.source_point).copy()
-        tgt = _as_vec3(self.target_point).copy()
-        src.setflags(write=False)
-        tgt.setflags(write=False)
-        object.__setattr__(self, "source_point", src)
-        object.__setattr__(self, "target_point", tgt)
-        object.__setattr__(self, "similarity", float(self.similarity))
-        object.__setattr__(self, "nn_distance", float(self.nn_distance))
-        object.__setattr__(self, "second_nn_distance", float(self.second_nn_distance))
-        if not np.isfinite(self.similarity):
-            raise ValueError("similarity must be finite")
-        if self.nn_distance < 0 or self.second_nn_distance < 0:
-            raise ValueError("feature distances must be non-negative")
-        if self.nn_distance > self.second_nn_distance:
-            raise ValueError("nn_distance exceeds second_nn_distance")
+        for name in ("source_point", "target_point"):
+            point = np.array(getattr(self, name), dtype=np.float64).reshape(3)
+            point.setflags(write=False)
+            object.__setattr__(self, name, point)
+        for name in ("similarity", "nn_distance", "second_nn_distance"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        try:
+            _validate_rows(self.source_point[None], self.target_point[None], np.array([self.similarity]),
+                           np.array([self.nn_distance]), np.array([self.second_nn_distance]))
+        except _ColumnError as exc:
+            raise ValueError(exc.reason) from None
 
     @property
     def has_lrfs(self) -> bool:
         return self.source_lrf is not None and self.target_lrf is not None
 
 
-@dataclass(frozen=True, eq=False)
-class CorrespondenceSet:
-    """An indexed collection of correspondences plus shared context.
+# Per-row shape of each column of a correspondence set.
+_COLUMN_SHAPES = {"source_points": (3,), "target_points": (3,), "similarities": (), "nn_distances": (),
+                  "second_nn_distances": (), "source_frames": (3, 3), "target_frames": (3, 3)}
 
-    ``source_resolution_pr`` is the source cloud's resolution, the unit in
-    which every distance threshold of the grouping algorithms is stated.
+
+@dataclass(frozen=True, eq=False, init=False)
+class CorrespondenceSet:
+    """An indexed correspondence set, stored as read-only columns.
+
+    Row i of every column is correspondence i: ``source_points`` and
+    ``target_points`` are (n, 3); ``similarities``, ``nn_distances`` and
+    ``second_nn_distances`` are (n,); ``source_frames`` and
+    ``target_frames`` are (n, 3, 3) stacks of frame axes on every row, or
+    None. ``source_resolution_pr`` is the source cloud's resolution, the
+    unit of every distance threshold of the grouping algorithms.
+
+    :meth:`from_arrays` builds a set from columns; the constructor stacks
+    :class:`Correspondence` records.
     """
 
-    items: tuple[Correspondence, ...]
+    source_points: np.ndarray
+    target_points: np.ndarray
+    similarities: np.ndarray
+    nn_distances: np.ndarray
+    second_nn_distances: np.ndarray
     source_resolution_pr: float
-    ground_truth: RigidTransform | None = None
+    source_frames: np.ndarray | None
+    target_frames: np.ndarray | None
+    ground_truth: RigidTransform | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "source_resolution_pr", float(self.source_resolution_pr))
-        if not (self.source_resolution_pr > 0):
-            raise ValueError("source_resolution_pr must be positive")
+    def __init__(self, items, source_resolution_pr: float, ground_truth: RigidTransform | None = None):
+        items = tuple(items)
+        lrfs = {(c.source_lrf is not None, c.target_lrf is not None) for c in items}
+        if not (lrfs <= {(True, True)} or lrfs <= {(False, False)}):
+            raise ValueError("only some records carry frames")
+        frames = (True, True) in lrfs
+        stacked = CorrespondenceSet.from_arrays(
+            np.reshape([c.source_point for c in items], (-1, 3)),
+            np.reshape([c.target_point for c in items], (-1, 3)),
+            [c.similarity for c in items], [c.nn_distance for c in items],
+            [c.second_nn_distance for c in items], source_resolution_pr,
+            source_frames=[c.source_lrf.axes for c in items] if frames else None,
+            target_frames=[c.target_lrf.axes for c in items] if frames else None,
+            ground_truth=ground_truth,
+        )
+        self.__dict__.update(vars(stacked))  # adopt its columns; the set is frozen
+
+    @classmethod
+    def from_arrays(cls, source_points, target_points, similarities, nn_distances,
+                    second_nn_distances, source_resolution_pr, *, source_frames=None,
+                    target_frames=None, ground_truth=None) -> "CorrespondenceSet":
+        """A set from copies of its columns. Frames are given for every row
+        or for none; an empty set has none."""
+        resolution = float(source_resolution_pr)
+        if not (math.isfinite(resolution) and resolution > 0):
+            raise _ColumnError(None, "source_resolution_pr must be finite and positive")
+        if (source_frames is None) != (target_frames is None):
+            raise ValueError("only some records carry frames")
+        n = len(similarities)
+        if n == 0:
+            source_frames = target_frames = None
+        cset = object.__new__(cls)
+        values = (source_points, target_points, similarities, nn_distances, second_nn_distances,
+                  source_frames, target_frames)
+        for (name, shape), value in zip(_COLUMN_SHAPES.items(), values):
+            if value is not None:
+                value = np.array(value, dtype=np.float64, order="C")
+                if value.shape != (n, *shape):
+                    raise ValueError(f"{name} must have shape {(n, *shape)}, got {value.shape}")
+                value.setflags(write=False)
+            object.__setattr__(cset, name, value)
+        object.__setattr__(cset, "source_resolution_pr", resolution)
+        object.__setattr__(cset, "ground_truth", ground_truth)
+        _validate_rows(*(getattr(cset, name) for name in _COLUMN_SHAPES))
+        return cset
+
+    def _replace(self, **changes) -> "CorrespondenceSet":
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return CorrespondenceSet.from_arrays(**(columns | changes))
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    @cached_property
-    def source_points(self) -> np.ndarray:
-        return np.array([c.source_point for c in self.items], dtype=np.float64).reshape(-1, 3)
-
-    @cached_property
-    def target_points(self) -> np.ndarray:
-        return np.array([c.target_point for c in self.items], dtype=np.float64).reshape(-1, 3)
-
-    @cached_property
-    def similarities(self) -> np.ndarray:
-        return np.array([c.similarity for c in self.items], dtype=np.float64)
-
-    @cached_property
-    def nn_distances(self) -> np.ndarray:
-        return np.array([c.nn_distance for c in self.items], dtype=np.float64)
-
-    @cached_property
-    def second_nn_distances(self) -> np.ndarray:
-        return np.array([c.second_nn_distance for c in self.items], dtype=np.float64)
+        return len(self.similarities)
 
     @property
     def has_lrfs(self) -> bool:
-        return all(c.has_lrfs for c in self.items)
+        return self.source_frames is not None
 
     @cached_property
-    def source_frames(self) -> np.ndarray | None:
-        """(n, 3, 3) stack of source frame axes, or None if any is missing."""
-        if not self.items or any(c.source_lrf is None for c in self.items):
-            return None
-        return np.stack([c.source_lrf.axes for c in self.items])
-
-    @cached_property
-    def target_frames(self) -> np.ndarray | None:
-        if not self.items or any(c.target_lrf is None for c in self.items):
-            return None
-        return np.stack([c.target_lrf.axes for c in self.items])
+    def items(self) -> tuple[Correspondence, ...]:
+        """The rows as :class:`Correspondence` records, built on first use."""
+        if self.has_lrfs:
+            lrfs = [(LocalReferenceFrame(s), LocalReferenceFrame(t))
+                    for s, t in zip(self.source_frames, self.target_frames)]
+        else:
+            lrfs = [(None, None)] * len(self)
+        rows = zip(self.source_points, self.target_points, self.similarities,
+                   self.nn_distances, self.second_nn_distances, lrfs)
+        return tuple(Correspondence(s, t, sim, nn, d2, *pair) for s, t, sim, nn, d2, pair in rows)
 
     def with_ground_truth(self, transform: RigidTransform | None) -> "CorrespondenceSet":
-        return replace(self, ground_truth=transform)
+        return self._replace(ground_truth=transform)
 
 
 def strip_lrfs(cset: CorrespondenceSet) -> CorrespondenceSet:
     """Copy of the set with all local reference frames removed."""
-    items = tuple(replace(c, source_lrf=None, target_lrf=None) for c in cset.items)
-    return replace(cset, items=items)
+    return cset._replace(source_frames=None, target_frames=None)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +269,9 @@ def pairwise_distance_residuals(source_points: np.ndarray, target_points: np.nda
 # preceded by the header line
 #   #corrgroup v1 n=<count> pr=<value>
 # The 18-value frame block is optional but must be present on either all
-# records or none. The ground-truth transform lives in a separate sidecar
-# of 12 numbers: the rotation rows, then the translation.
+# records or none, and pr must be finite and positive. The ground-truth
+# transform lives in a separate sidecar of 12 numbers: the rotation rows,
+# then the translation.
 
 _HEADER_RE = re.compile(r"^#corrgroup v1 n=(\d+) pr=([^ ]+)$")
 
@@ -211,30 +282,26 @@ def _fmt(x: float) -> str:
 
 def save_correspondences(cset: CorrespondenceSet, path) -> None:
     """Write a correspondence set in the v1 text format."""
-    with_frames = [c.has_lrfs for c in cset.items]
-    if any(with_frames) and not all(with_frames):
-        raise ValueError("cannot save a set where only some records carry frames")
-    include_frames = bool(with_frames) and all(with_frames)
-
+    columns = [cset.source_points, cset.target_points, cset.similarities[:, None],
+               cset.nn_distances[:, None], cset.second_nn_distances[:, None]]
+    if cset.has_lrfs:
+        columns += [cset.source_frames.reshape(-1, 9), cset.target_frames.reshape(-1, 9)]
+    table = np.hstack(columns)
+    record = " ".join(["%.17g"] * table.shape[1])
     lines = [f"#corrgroup v1 n={len(cset)} pr={_fmt(cset.source_resolution_pr)}"]
-    for c in cset.items:
-        fields = [
-            *c.source_point, *c.target_point,
-            c.similarity, c.nn_distance, c.second_nn_distance,
-        ]
-        if include_frames:
-            fields.extend(c.source_lrf.axes.ravel())
-            fields.extend(c.target_lrf.axes.ravel())
-        lines.append(" ".join(_fmt(f) for f in fields))
+    lines += [record % tuple(row) for row in table.tolist()]
     with open(path, "w", encoding="ascii") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def load_correspondences(path) -> CorrespondenceSet:
-    """Read a v1 correspondence file; ground truth is not part of it."""
+    """Read a v1 correspondence file; ground truth is not part of it.
+
+    Records are parsed into columns. A fault names the first line that has
+    one: line 1 for the header and its pr value, blank lines counted.
+    """
     with open(path, "r", encoding="ascii") as handle:
-        text = handle.read()
-    lines = text.splitlines()
+        lines = handle.read().splitlines()
     if not lines:
         raise CorrespondenceFormatError("empty file")
     match = _HEADER_RE.match(lines[0].strip())
@@ -246,44 +313,43 @@ def load_correspondences(path) -> CorrespondenceSet:
     except ValueError:
         raise CorrespondenceFormatError("line 1: malformed pr value") from None
 
-    items: list[Correspondence] = []
+    # Parsing stops at the first malformed line; the rows before it are
+    # validated first, since a fault there comes earlier in the file.
+    linenos, records, fault = [], [], None
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        tokens = line.split()
+        if not tokens:
             continue
-        fields = line.split()
-        if len(fields) not in (9, 27):
-            raise CorrespondenceFormatError(
-                f"line {lineno}: expected 9 or 27 fields, got {len(fields)}"
-            )
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            raise CorrespondenceFormatError(f"line {lineno}: non-numeric field") from None
-        source_lrf = target_lrf = None
-        if len(values) == 27:
+        if len(tokens) not in (9, 27):
+            fault = f"line {lineno}: expected 9 or 27 fields, got {len(tokens)}"
+        elif records and len(tokens) != len(records[0]):
+            fault = f"line {lineno}: only some records carry frames"
+        else:
             try:
-                source_lrf = LocalReferenceFrame(np.array(values[9:18]).reshape(3, 3))
-                target_lrf = LocalReferenceFrame(np.array(values[18:27]).reshape(3, 3))
-            except ValueError as exc:
-                raise CorrespondenceFormatError(f"line {lineno}: {exc}") from None
-        try:
-            items.append(Correspondence(
-                source_point=values[0:3],
-                target_point=values[3:6],
-                similarity=values[6],
-                nn_distance=values[7],
-                second_nn_distance=values[8],
-                source_lrf=source_lrf,
-                target_lrf=target_lrf,
-            ))
-        except ValueError as exc:
-            raise CorrespondenceFormatError(f"line {lineno}: {exc}") from None
-
-    if len(items) != declared:
-        raise CorrespondenceFormatError(
-            f"header declares n={declared} but file has {len(items)} records"
+                records.append([float(t) for t in tokens])
+            except ValueError:
+                fault = f"line {lineno}: non-numeric field"
+        if fault:
+            break
+        linenos.append(lineno)
+    table = np.array(records, dtype=np.float64).reshape(len(records), -1 if records else 9)
+    frames = table.shape[1] == 27
+    try:
+        cset = CorrespondenceSet.from_arrays(
+            table[:, 0:3], table[:, 3:6], table[:, 6], table[:, 7], table[:, 8], resolution,
+            source_frames=table[:, 9:18].reshape(-1, 3, 3) if frames else None,
+            target_frames=table[:, 18:27].reshape(-1, 3, 3) if frames else None,
         )
-    return CorrespondenceSet(tuple(items), source_resolution_pr=resolution)
+    except _ColumnError as exc:
+        line = 1 if exc.row is None else linenos[exc.row]
+        raise CorrespondenceFormatError(f"line {line}: {exc.reason}") from None
+    if fault:
+        raise CorrespondenceFormatError(fault)
+    if len(cset) != declared:
+        raise CorrespondenceFormatError(
+            f"header declares n={declared} but file has {len(cset)} records"
+        )
+    return cset
 
 
 def save_ground_truth(transform: RigidTransform, path) -> None:

@@ -171,6 +171,19 @@ def estimate_rigid_transform(source_points, target_points) -> RigidTransform:
     return RigidTransform(rot, tgt_mean - rot @ src_mean)
 
 
+def frame_faults(axes: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """The frame-validity rule on an (n, 3, 3) stack of axes, as (bad-row
+    mask, reason) per check in order: finite, orthonormal rows, det +1 (1e-9)."""
+    finite = np.isfinite(axes).all(axis=(1, 2))
+    axes = np.where(finite[:, None, None], axes, np.eye(3))
+    gram_error = np.abs(axes @ axes.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
+    return [
+        (~finite, "frame axes must be finite"),
+        (gram_error > 1e-9, "frame rows are not orthonormal"),
+        (np.abs(np.linalg.det(axes) - 1.0) > 1e-9, "frame must be right-handed"),
+    ]
+
+
 @dataclass(frozen=True, eq=False)
 class LocalReferenceFrame:
     """Orthonormal right-handed frame; rows are the x/y/z unit axes."""
@@ -179,12 +192,9 @@ class LocalReferenceFrame:
 
     def __post_init__(self):
         axes = np.asarray(self.axes, dtype=np.float64).reshape(3, 3).copy()
-        if not np.isfinite(axes).all():
-            raise ValueError("frame axes must be finite")
-        if np.abs(axes @ axes.T - np.eye(3)).max() > 1e-9:
-            raise ValueError("frame rows are not orthonormal")
-        if abs(np.linalg.det(axes) - 1.0) > 1e-9:
-            raise ValueError("frame must be right-handed")
+        for bad, reason in frame_faults(axes[None]):
+            if bad[0]:
+                raise ValueError(reason)
         axes.setflags(write=False)
         object.__setattr__(self, "axes", axes)
 

@@ -72,11 +72,12 @@ class AlgorithmParams:
         for name in ("d_ransac_pr", "t_gc_pr", "hough_bin_pr", "si_delta_pr"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
+        # type(), not isinstance(): a bool is an int, and JSON true is no count.
         for name in ("n_ransac", "si_kappa"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if not isinstance(self.rng_seed, int) or not (0 <= self.rng_seed < 2**64):
+        if type(self.rng_seed) is not int or not (0 <= self.rng_seed < 2**64):
             raise ValueError("rng_seed must be an unsigned 64-bit integer")
 
     def to_dict(self) -> dict:
@@ -418,14 +419,6 @@ def group_gc(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
 # Hough voting
 # ---------------------------------------------------------------------------
 
-def _require_frames(cset: CorrespondenceSet, message: str) -> tuple[np.ndarray, np.ndarray]:
-    frames_s = cset.source_frames
-    frames_t = cset.target_frames
-    if frames_s is None or frames_t is None:
-        raise ValueError(message)
-    return frames_s, frames_t
-
-
 def hough_votes(cset: CorrespondenceSet, source_cloud: PointCloud) -> np.ndarray:
     """Per-correspondence vote points in target-space global coordinates.
 
@@ -434,11 +427,12 @@ def hough_votes(cset: CorrespondenceSet, source_cloud: PointCloud) -> np.ndarray
     frame, so votes of correct matches coincide at the transformed
     centroid regardless of the pose.
     """
-    frames_s, frames_t = _require_frames(cset, "LRF required for 3DHV")
+    if not cset.has_lrfs:
+        raise ValueError("LRF required for 3DHV")
     centroid = source_cloud.centroid()
     global_src = centroid - cset.source_points
-    local = np.einsum("nij,nj->ni", frames_s, global_src)
-    return np.einsum("nji,nj->ni", frames_t, local) + cset.target_points
+    local = np.einsum("nij,nj->ni", cset.source_frames, global_src)
+    return np.einsum("nji,nj->ni", cset.target_frames, local) + cset.target_points
 
 
 def group_3dhv(cset: CorrespondenceSet, params: AlgorithmParams,
@@ -485,7 +479,8 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     n = len(cset)
     if n == 0:
         return _empty_result()
-    frames_s, frames_t = _require_frames(cset, "LRF required for SI")
+    if not cset.has_lrfs:
+        raise ValueError("LRF required for SI")
     if n == 1:
         return GroupingResult((0,), scores={0: 0.0})
 
@@ -512,7 +507,7 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
 
     # Global voters: top-kappa ratio scores (stable sort, so ties by index).
     global_voters = np.argsort(-lowe, kind="stable")[:kappa]
-    motions = _frame_motions(frames_s, frames_t)
+    motions = _frame_motions(cset.source_frames, cset.target_frames)
     voter_src = src[global_voters]
     voter_tgt = tgt[global_voters]
     mapped = np.einsum("nik,ngk->ngi", motions, voter_src[None, :, :] - src[:, None, :]) + tgt[:, None, :]

@@ -18,11 +18,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corr_model import Correspondence, CorrespondenceSet
+from .corr_model import CorrespondenceSet
 from .geom3d import (
     AmbiguousFrameError,
     InsufficientSupportError,
-    LocalReferenceFrame,
     PointCloud,
     RigidTransform,
     estimate_lrf,
@@ -240,14 +239,14 @@ def generate_correspondences(
 
     support = lrf_support_pr * resolution
     chosen: list[int] = []
-    frames: list[LocalReferenceFrame] = []
+    frames: list[np.ndarray] = []
     for candidate in rng.permutation(len(model)):
         try:
             frame = estimate_lrf(model, model.points[candidate], support)
         except (InsufficientSupportError, AmbiguousFrameError):
             continue
         chosen.append(int(candidate))
-        frames.append(frame)
+        frames.append(frame.axes)
         if len(chosen) == n_total:
             break
     if len(chosen) < n_total:
@@ -283,26 +282,16 @@ def generate_correspondences(
     max_angle = math.radians(recipe.lrf_noise_deg)
     perturb_axes = _unit_vectors(rng, n_inliers)
     perturb_angles = max_angle * rng.random(n_inliers)
-    target_frames: list[LocalReferenceFrame] = []
-    for i in range(n_total):
-        exact = frames[i].rotated(ground_truth.rotation)
-        if i < n_inliers:
-            wobble = rotation_about_axis(perturb_axes[i], perturb_angles[i])
-            target_frames.append(exact.rotated(wobble))
-        else:
-            target_frames.append(LocalReferenceFrame(random_rotation(rng)))
+    source_frames = np.array(frames)
+    target_frames = source_frames @ ground_truth.rotation.T
+    wobble = np.array([rotation_about_axis(axis, angle)
+                       for axis, angle in zip(perturb_axes, perturb_angles)]).reshape(-1, 3, 3)
+    target_frames[:n_inliers] = target_frames[:n_inliers] @ wobble.transpose(0, 2, 1)
+    target_frames[n_inliers:] = np.array([random_rotation(rng) for _ in range(n_outliers)]).reshape(-1, 3, 3)
 
     order = rng.permutation(n_total)
-    items = tuple(
-        Correspondence(
-            source_point=source[i],
-            target_point=targets[i],
-            similarity=float(sims[i]),
-            nn_distance=float(nn[i]),
-            second_nn_distance=float(second_nn[i]),
-            source_lrf=frames[i],
-            target_lrf=target_frames[i],
-        )
-        for i in order
+    return CorrespondenceSet.from_arrays(
+        source[order], targets[order], sims[order], nn[order], second_nn[order], resolution,
+        source_frames=source_frames[order], target_frames=target_frames[order],
+        ground_truth=ground_truth,
     )
-    return CorrespondenceSet(items, source_resolution_pr=resolution, ground_truth=ground_truth)

@@ -176,8 +176,8 @@ class TestFileRoundTrip:
             corr([0, 0, 0], [1, 1, 1], source_lrf=random_frame(rng), target_lrf=random_frame(rng)),
             corr([1, 0, 0], [2, 1, 1]),
         )
-        cset = CorrespondenceSet(items, source_resolution_pr=1.0)
         with pytest.raises(ValueError, match="only some records carry frames"):
+            cset = CorrespondenceSet(items, source_resolution_pr=1.0)
             save_correspondences(cset, tmp_path / "m.txt")
 
     def test_validation_error_names_line(self, tmp_path):

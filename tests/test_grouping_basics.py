@@ -232,6 +232,11 @@ class TestAlgorithmParams:
         with pytest.raises(ValueError):
             AlgorithmParams(**bad)
 
+    @pytest.mark.parametrize("field", ["n_ransac", "si_kappa", "rng_seed"])
+    def test_json_booleans_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            AlgorithmParams.from_json(json.dumps({field: True}))
+
 
 class TestGroupingResult:
     def test_rejects_unsorted(self):

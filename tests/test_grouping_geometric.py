@@ -13,6 +13,7 @@ from corrgroup import (
     group_ransac,
     group_si,
     group_st,
+    strip_lrfs,
 )
 from corrgroup.corr_model import pairwise_rigidity
 from corrgroup.grouping import hough_votes
@@ -339,9 +340,11 @@ class TestHoughVoting:
         items[2] = Correspondence(
             items[2].source_point, items[2].target_point, 0.9, 0.05, 1.0,
             source_lrf=items[2].source_lrf, target_lrf=None)
-        broken = CorrespondenceSet(tuple(items), source_resolution_pr=1.0)
+        with pytest.raises(ValueError, match="only some records carry frames"):
+            CorrespondenceSet(tuple(items), source_resolution_pr=1.0)
+        frameless = strip_lrfs(cset)
         with pytest.raises(ValueError, match="LRF required for 3DHV"):
-            group_3dhv(broken, AlgorithmParams(), PointCloud(broken.source_points))
+            group_3dhv(frameless, AlgorithmParams(), PointCloud(frameless.source_points))
 
     def test_empty_set(self):
         cset = CorrespondenceSet((), source_resolution_pr=1.0)
