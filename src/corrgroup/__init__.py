@@ -46,7 +46,6 @@ from .geom3d import (
 from .grouping import (
     AlgorithmParams,
     GroupingResult,
-    HoughAccumulator,
     NonConvergenceError,
     group_3dhv,
     group_gc,

@@ -197,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the --config JSON; unknown keys are rejected."""
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill unset flags from the --config JSON. A key that names no flag of
+    the subcommand, or whose value does not fit that flag, is rejected."""
     if not args.config:
         return
     try:
@@ -209,11 +210,34 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise ValidationFailure(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationFailure("config must be a JSON object of flag values")
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {action.dest: action for action in commands[args.command]._actions if action.dest != "help"}
     for key, value in data.items():
-        if not hasattr(args, key) or key in ("func", "command", "config"):
+        if key not in flags:
             raise ValidationFailure(f"config key {key!r} does not match any flag")
-        if getattr(args, key) in (None, False):
+        wanted = _config_mismatch(value, flags[key])
+        if wanted:
+            raise ValidationFailure(f"config key {key!r} must be {wanted}, got {value!r}")
+        # Identity, not ==: an explicit 0 or 0.0 is set, and wins.
+        if getattr(args, key) is None or getattr(args, key) is False:
             setattr(args, key, value)
+
+
+def _config_mismatch(value, flag: argparse.Action) -> str | None:
+    """What ``flag`` takes, when a config ``value`` does not fit its type or
+    choices; None when it fits. A JSON bool is no integer."""
+    if flag.nargs == 0:
+        return None if type(value) is bool else "true or false"
+    if isinstance(flag, argparse._AppendAction):
+        fits = isinstance(value, list) and all(item in flag.choices for item in value)
+        return None if fits else f"a list of {', '.join(flag.choices)}"
+    if flag.choices is not None:
+        return None if value in flag.choices else f"one of {', '.join(flag.choices)}"
+    if flag.type is int:
+        return None if type(value) is int else "an integer"
+    if flag.type is float:
+        return None if type(value) in (int, float) else "a number"
+    return None if isinstance(value, str) else "a string"
 
 
 def _pick(args, name, default):
@@ -222,14 +246,8 @@ def _pick(args, name, default):
 
 
 def _selected_algorithms(args) -> tuple[str, ...]:
-    if getattr(args, "all", False):
-        return ALGORITHM_NAMES
-    if getattr(args, "algo", None):
-        seen = []
-        for name in args.algo:
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+    if args.algo and not args.all:
+        return tuple(dict.fromkeys(args.algo))
     return ALGORITHM_NAMES
 
 
@@ -263,15 +281,9 @@ def _spec_from_args(args) -> tuple[evaluation.InstanceSpec, int]:
     return spec, int(_pick(args, "seed", 0))
 
 
-def _params_from_args(args, *, rng_seed: int = 0) -> AlgorithmParams:
-    values = {}
-    for name in _PARAM_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            values[name] = value
-    values["rng_seed"] = int(_pick(args, "rng_seed", rng_seed))
+def _params_from_args(args) -> AlgorithmParams:
     try:
-        return AlgorithmParams(**values)
+        return AlgorithmParams(**_given(args, rng_seed="rng_seed", **{name: name for name in _PARAM_FLAGS}))
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from None
 
@@ -335,23 +347,21 @@ def cmd_group(args) -> int:
     if ground_truth is not None:
         cset = cset.with_ground_truth(ground_truth)
 
+    def output_path(flag_value: str, name: str) -> Path:
+        path = Path(flag_value)
+        return path.with_name(f"{path.stem}_{name}{path.suffix or '.txt'}") if len(algorithms) > 1 else path
+
     table = []
     for name in algorithms:
         result = evaluation.run_algorithm(name, cset, params, source_cloud=source_cloud)
         if args.out:
-            path = Path(args.out)
-            if len(algorithms) > 1:
-                path = path.with_name(f"{path.stem}_{name}{path.suffix or '.txt'}")
-            path.write_text("".join(f"{i}\n" for i in result.inlier_indices))
+            output_path(args.out, name).write_text("".join(f"{i}\n" for i in result.inlier_indices))
         else:
             print(f"# {name}: {len(result)} inliers")
             for index in result.inlier_indices:
                 print(index)
         if args.transform_out and result.transform is not None:
-            path = Path(args.transform_out)
-            if len(algorithms) > 1:
-                path = path.with_name(f"{path.stem}_{name}{path.suffix or '.txt'}")
-            save_ground_truth(result.transform, path)
+            save_ground_truth(result.transform, output_path(args.transform_out, name))
         if ground_truth is not None:
             record = evaluation.score(result, cset, epsilon_pr, algorithm=name, params=params)
             table.append(record)
@@ -508,7 +518,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return args.func(args)
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,10 @@ import concurrent.futures
 import csv as _csv
 import io
 import json
+import operator
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -111,7 +112,6 @@ def score(
     algorithm: str = "",
     params: AlgorithmParams | None = None,
     nuisance: dict | None = None,
-    wall_time_ns: int = 0,
 ) -> EvaluationRecord:
     """Precision/recall of a grouping result against the set's ground truth."""
     correct_mask = judge_set(cset, epsilon_pr * cset.source_resolution_pr)
@@ -130,7 +130,6 @@ def score(
         n_grouped=int(n_grouped),
         n_correct=n_correct,
         n_gt_inliers=n_gt,
-        wall_time_ns=int(wall_time_ns),
         params=params,
         nuisance=dict(nuisance or {}),
     )
@@ -237,51 +236,28 @@ def _build_instance(spec: InstanceSpec, axis: str, level: float, seeds: tuple[in
     return model, cset, params
 
 
-def _run_sweep_trial(plan: SweepPlan, level_idx: int, trial: int,
-                     algorithms: tuple[str, ...]) -> list[EvaluationRecord]:
-    """All records for one (level, trial) cell, in algorithm order."""
+def _run_cell(plan: SweepPlan, algorithms: tuple[str, ...], level_idx: int,
+              trial: int) -> list[EvaluationRecord]:
+    """Records of one (level, trial) cell: each algorithm runs once on the
+    cell's set, then is scored at the cell's level; on the epsilon axis,
+    where only judging depends on the level, at every level."""
     level = plan.levels[level_idx]
+    on_epsilon = plan.axis == "epsilon_pr"
     try:
         model, cset, params = _build_instance(
             plan.base, plan.axis, level, _trial_seeds(plan.base_seed, level_idx, trial))
-        records = []
-        for name in algorithms:
-            result = run_algorithm(name, cset, params, source_cloud=model)
-            records.append(score(
-                result, cset, plan.base.epsilon_pr,
-                algorithm=name,
-                params=params,
-                nuisance={"axis": plan.axis, "level": level, "trial": trial},
-            ))
-        return records
-    except Exception as exc:
-        raise RuntimeError(
-            f"sweep failed at axis={plan.axis} level={level} trial={trial}: {exc}"
-        ) from exc
-
-
-def _run_epsilon_trial(plan: SweepPlan, trial: int,
-                       algorithms: tuple[str, ...]) -> list[EvaluationRecord]:
-    """Epsilon-axis trial: group once, judge at every level."""
-    try:
-        model, cset, params = _build_instance(
-            plan.base, plan.axis, plan.levels[0], _trial_seeds(plan.base_seed, 0, trial))
-        records = []
         results = {name: run_algorithm(name, cset, params, source_cloud=model)
                    for name in algorithms}
-        for level_idx, level in enumerate(plan.levels):
-            for name in algorithms:
-                records.append(score(
-                    results[name], cset, level,
-                    algorithm=name,
-                    params=params,
-                    nuisance={"axis": plan.axis, "level": level, "trial": trial},
-                ))
-        return records
+        return [
+            score(results[name], cset, scored if on_epsilon else plan.base.epsilon_pr,
+                  algorithm=name, params=params,
+                  nuisance={"axis": plan.axis, "level": scored, "trial": trial})
+            for scored in (plan.levels if on_epsilon else (level,))
+            for name in algorithms
+        ]
     except Exception as exc:
-        raise RuntimeError(
-            f"sweep failed at axis={plan.axis} trial={trial}: {exc}"
-        ) from exc
+        where = f"trial={trial}" if on_epsilon else f"level={level} trial={trial}"
+        raise RuntimeError(f"sweep failed at axis={plan.axis} {where}: {exc}") from exc
 
 
 def run_sweep(plan: SweepPlan, algorithms=ALGORITHM_NAMES, *, n_workers: int = 1) -> list[EvaluationRecord]:
@@ -295,31 +271,20 @@ def run_sweep(plan: SweepPlan, algorithms=ALGORITHM_NAMES, *, n_workers: int = 1
     for name in algorithms:
         if name not in ALGORITHM_NAMES:
             raise ValueError(f"unknown algorithm {name!r}")
-    if plan.axis == "epsilon_pr":
-        jobs = [(_run_epsilon_trial, (plan, trial, algorithms))
-                for trial in range(plan.trials_per_level)]
-    else:
-        jobs = [(_run_sweep_trial, (plan, level_idx, trial, algorithms))
-                for level_idx in range(len(plan.levels))
-                for trial in range(plan.trials_per_level)]
-
-    if n_workers > 1 and len(jobs) > 1:
+    level_idxs = (0,) if plan.axis == "epsilon_pr" else range(len(plan.levels))
+    cells = [(level_idx, trial) for level_idx in level_idxs
+             for trial in range(plan.trials_per_level)]
+    run_cell = partial(_run_cell, plan, algorithms)
+    if n_workers > 1 and len(cells) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            chunks = list(pool.map(_call_job, jobs))
+            chunks = list(pool.map(run_cell, *zip(*cells)))
     else:
-        chunks = [fn(*args) for fn, args in jobs]
+        chunks = [run_cell(*cell) for cell in cells]
 
-    records = [record for chunk in chunks for record in chunk]
-    order = {name: i for i, name in enumerate(algorithms)}
     level_pos = {level: i for i, level in enumerate(plan.levels)}
-    records.sort(key=lambda r: (
-        level_pos[r.nuisance["level"]], r.nuisance["trial"], order[r.algorithm]))
-    return records
-
-
-def _call_job(job):
-    fn, args = job
-    return fn(*args)
+    # Stable: only an epsilon-axis cell, one per trial, spans several levels.
+    return sorted((record for chunk in chunks for record in chunk),
+                  key=lambda record: level_pos[record.nuisance["level"]])
 
 
 # ---------------------------------------------------------------------------
@@ -380,25 +345,33 @@ def time_algorithms(
 # CSV / JSON serialization
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float | None) -> str:
-    return "" if x is None else "%.17g" % x
+# Each column's type, and whether its value may be undefined: None in a
+# typed row, an empty CSV field, JSON null.
+_COLUMN_TYPES = (str, str, float, int, int, int, int, int, float, float, int)
+_OPTIONAL = (False, False, True, True, False, False, False, False, True, True, False)
 
 
-def _record_row(record: EvaluationRecord) -> list[str]:
+def _record_values(record: EvaluationRecord) -> tuple:
+    """The typed row of a record: its values in CSV_COLUMNS order, None where undefined."""
     nuisance = record.nuisance
-    return [
-        record.algorithm,
-        str(nuisance.get("axis", "")),
-        _fmt_float(nuisance.get("level")),
-        "" if nuisance.get("trial") is None else str(nuisance["trial"]),
-        str(record.n_initial),
-        str(record.n_grouped),
-        str(record.n_correct),
-        str(record.n_gt_inliers),
-        _fmt_float(record.precision),
-        _fmt_float(record.recall),
-        str(record.wall_time_ns),
-    ]
+    return (record.algorithm, nuisance.get("axis", ""), nuisance.get("level"), nuisance.get("trial"),
+            record.n_initial, record.n_grouped, record.n_correct, record.n_gt_inliers,
+            record.precision, record.recall, record.wall_time_ns)
+
+
+def _record_from_row(row) -> EvaluationRecord:
+    """A record from a typed row (see :func:`_record_values`)."""
+    (algorithm, axis, level, trial, n_initial, n_grouped, n_correct, n_gt,
+     precision, recall, wall_time_ns) = row
+    nuisance = {"axis": axis}
+    if level is not None:
+        nuisance["level"] = level
+    if trial is not None:
+        nuisance["trial"] = trial
+    return EvaluationRecord(
+        algorithm=algorithm, epsilon_pr=float("nan"), precision=precision, recall=recall,
+        n_initial=n_initial, n_grouped=n_grouped, n_correct=n_correct, n_gt_inliers=n_gt,
+        wall_time_ns=wall_time_ns, nuisance=nuisance)
 
 
 def records_to_csv(records) -> str:
@@ -407,7 +380,8 @@ def records_to_csv(records) -> str:
     writer = _csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for record in records:
-        writer.writerow(_record_row(record))
+        writer.writerow(["" if value is None else "%.17g" % value if kind is float else str(value)
+                         for kind, value in zip(_COLUMN_TYPES, _record_values(record))])
     return out.getvalue()
 
 
@@ -419,33 +393,15 @@ def write_csv(records, path) -> None:
 def records_from_csv(text: str) -> list[EvaluationRecord]:
     """Parse the canonical CSV layout back into records."""
     reader = _csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != list(CSV_COLUMNS):
+    if next(reader, None) != list(CSV_COLUMNS):
         raise ValueError("unexpected CSV header")
-    records = []
-    for row in reader:
-        if not row:
-            continue
-        (algorithm, axis, level, trial, n_initial, n_grouped,
-         n_correct, n_gt, precision, recall, wall_time_ns) = row
-        nuisance = {"axis": axis}
-        if level:
-            nuisance["level"] = float(level)
-        if trial:
-            nuisance["trial"] = int(trial)
-        records.append(EvaluationRecord(
-            algorithm=algorithm,
-            epsilon_pr=float("nan"),
-            precision=float(precision) if precision else None,
-            recall=float(recall) if recall else None,
-            n_initial=int(n_initial),
-            n_grouped=int(n_grouped),
-            n_correct=int(n_correct),
-            n_gt_inliers=int(n_gt),
-            wall_time_ns=int(wall_time_ns),
-            nuisance=nuisance,
-        ))
-    return records
+    rows = [row for row in reader if row]
+    if not rows:
+        return []
+    # A column at a time, so that map() converts the required columns.
+    columns = ([None if value == "" else kind(value) for value in column] if optional else list(map(kind, column))
+               for kind, optional, column in zip(_COLUMN_TYPES, _OPTIONAL, zip(*rows, strict=True), strict=True))
+    return [_record_from_row(row) for row in zip(*columns)]
 
 
 def read_csv(path) -> list[EvaluationRecord]:
@@ -455,44 +411,9 @@ def read_csv(path) -> list[EvaluationRecord]:
 
 def records_to_json(records) -> str:
     """JSON array mirroring the CSV columns (undefined values are null)."""
-    rows = []
-    for record in records:
-        nuisance = record.nuisance
-        rows.append({
-            "algorithm": record.algorithm,
-            "axis": nuisance.get("axis", ""),
-            "level": nuisance.get("level"),
-            "trial": nuisance.get("trial"),
-            "n_initial": record.n_initial,
-            "n_grouped": record.n_grouped,
-            "n_correct": record.n_correct,
-            "n_gt": record.n_gt_inliers,
-            "precision": record.precision,
-            "recall": record.recall,
-            "wall_time_ns": record.wall_time_ns,
-        })
-    return json.dumps(rows, indent=2)
+    return json.dumps([dict(zip(CSV_COLUMNS, _record_values(record))) for record in records], indent=2)
 
 
 def records_from_json(text: str) -> list[EvaluationRecord]:
-    rows = json.loads(text)
-    records = []
-    for row in rows:
-        nuisance = {"axis": row.get("axis", "")}
-        if row.get("level") is not None:
-            nuisance["level"] = float(row["level"])
-        if row.get("trial") is not None:
-            nuisance["trial"] = int(row["trial"])
-        records.append(EvaluationRecord(
-            algorithm=row["algorithm"],
-            epsilon_pr=float("nan"),
-            precision=row.get("precision"),
-            recall=row.get("recall"),
-            n_initial=int(row["n_initial"]),
-            n_grouped=int(row["n_grouped"]),
-            n_correct=int(row["n_correct"]),
-            n_gt_inliers=int(row["n_gt"]),
-            wall_time_ns=int(row["wall_time_ns"]),
-            nuisance=nuisance,
-        ))
-    return records
+    """Parse the JSON array back into records; every row has every column."""
+    return [_record_from_row(row) for row in map(operator.itemgetter(*CSV_COLUMNS), json.loads(text))]

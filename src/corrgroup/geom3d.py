@@ -7,7 +7,6 @@ functions, so shared instances are safe to use from multiple threads.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,23 +68,11 @@ class PointCloud:
         return self.points.mean(axis=0)
 
 
-def compute_resolution(cloud, *, max_points: int | None = None, seed: int = 0) -> float:
-    """Mean distance from each point to its nearest distinct neighbor.
-
-    Exact by default. If ``max_points`` is given and the cloud is larger,
-    the estimate runs on a uniform random subsample of that size and a
-    warning flags the result as approximate.
-    """
+def compute_resolution(cloud) -> float:
+    """Mean distance from each point to its nearest distinct neighbor."""
     pts = cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud)
     if len(pts) < 2:
         raise ValueError("insufficient points for resolution")
-    if max_points is not None and len(pts) > max_points:
-        warnings.warn(
-            f"resolution estimated on a {max_points}-point subsample",
-            stacklevel=2,
-        )
-        keep = np.random.default_rng(seed).choice(len(pts), size=max_points, replace=False)
-        pts = pts[np.sort(keep)]
     dists, _ = cKDTree(pts).query(pts, k=2)
     return float(dists[:, 1].mean())
 

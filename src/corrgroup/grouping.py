@@ -215,28 +215,6 @@ def principal_eigenvector(matrix, *, tol: float = 1e-10, max_iter: int = 10000) 
     return vector, value
 
 
-class HoughAccumulator:
-    """Sparse 3D voting grid; bin of a vote v is floor(v / bin_side) per axis."""
-
-    def __init__(self, bin_side: float):
-        if bin_side <= 0:
-            raise ValueError("bin_side must be positive")
-        self.bin_side = float(bin_side)
-        self.bins: dict[tuple[int, int, int], list[int]] = {}
-
-    def cast(self, index: int, vote) -> tuple[int, int, int]:
-        coord = tuple(int(c) for c in np.floor(np.asarray(vote, dtype=np.float64) / self.bin_side))
-        self.bins.setdefault(coord, []).append(int(index))
-        return coord
-
-    def peak(self) -> tuple[tuple[int, int, int], list[int]] | None:
-        """Highest-count bin; ties pick the lexicographically smallest coordinate."""
-        if not self.bins:
-            return None
-        coord = min(self.bins, key=lambda c: (-len(self.bins[c]), c))
-        return coord, sorted(self.bins[coord])
-
-
 # ---------------------------------------------------------------------------
 # Feature-score algorithms
 # ---------------------------------------------------------------------------
@@ -439,21 +417,24 @@ def group_3dhv(cset: CorrespondenceSet, params: AlgorithmParams,
                source_cloud: PointCloud) -> GroupingResult:
     """Hough voting: quantize vote points and return the peak bin.
 
-    Bin side is ``hough_bin_pr`` resolutions; the peak is a single bin with
-    ties broken by the lexicographically smallest bin coordinate.
+    Bin side is ``hough_bin_pr`` resolutions and the bin of a vote v is
+    floor(v / bin side) per axis; the peak is a single bin with ties broken
+    by the lexicographically smallest bin coordinate.
     """
     if len(cset) == 0:
         return _empty_result()
     if len(source_cloud) == 0:
         raise ValueError("source cloud must be non-empty")
-    votes = hough_votes(cset, source_cloud)
-    accumulator = HoughAccumulator(params.hough_bin_pr * cset.source_resolution_pr)
-    for index, vote in enumerate(votes):
-        accumulator.cast(index, vote)
-    peak = accumulator.peak()
-    if peak is None:
-        return _empty_result()
-    return GroupingResult(tuple(peak[1]))
+    bin_side = params.hough_bin_pr * cset.source_resolution_pr
+    with np.errstate(over="ignore"):
+        bins = np.floor(hough_votes(cset, source_cloud) / bin_side)
+    if not np.isfinite(bins).all():
+        raise ValueError(f"3DHV bin coordinates are not finite: votes divided by "
+                         f"the bin side {bin_side:g} overflow float64")
+    # Unique rows come back in lexicographic order, so argmax picks the
+    # smallest coordinate among the peak bins.
+    _, labels, counts = np.unique(bins, axis=0, return_inverse=True, return_counts=True)
+    return GroupingResult(tuple(np.flatnonzero(labels.reshape(-1) == np.argmax(counts)).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,6 @@ def generate_correspondences(
     scene: PointCloud,
     ground_truth: RigidTransform,
     recipe: CorrespondenceRecipe,
-    *,
-    lrf_support_pr: float = DEFAULT_LRF_SUPPORT_PR,
 ) -> CorrespondenceSet:
     """Correspondence set with exact inlier/outlier construction.
 
@@ -237,7 +235,7 @@ def generate_correspondences(
     resolution = model.resolution
     rng = np.random.default_rng(recipe.rng_seed)
 
-    support = lrf_support_pr * resolution
+    support = DEFAULT_LRF_SUPPORT_PR * resolution
     chosen: list[int] = []
     frames: list[np.ndarray] = []
     for candidate in rng.permutation(len(model)):

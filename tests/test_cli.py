@@ -254,6 +254,14 @@ class TestConfig:
         cset = load_correspondences(tmp_path / "synth_corrs.txt")
         assert len(cset) == 60
 
+    def test_explicit_zero_flag_beats_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model_points": 1200, "n": 60, "inlier_ratio": 0.5}))
+        code = run_cli("--config", str(config), "synth", "--inlier-ratio", "0",
+                       "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "true_inliers=0" in capsys.readouterr().out
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"not_a_flag": 1}))
@@ -264,6 +272,25 @@ class TestConfig:
     def test_missing_config_exit_2(self, tmp_path):
         assert run_cli("--config", str(tmp_path / "nope.json"), "synth",
                        "--out-dir", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("values", [
+        {"model_points": "1200"}, {"n": 60.5}, {"n": True}, {"inlier_ratio": "0.5"},
+        {"inlier_ratio": False}, {"model": "cube"}, {"no_lrfs": 1}, {"prefix": 7},
+    ])
+    def test_config_value_must_fit_flag_exit_2(self, tmp_path, capsys, values):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model_points": 1200, "n": 60, **values}))
+        code = run_cli("--config", str(config), "synth", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert repr(next(iter(values))) in capsys.readouterr().err
+        assert not (tmp_path / "synth_corrs.txt").exists()
+
+    def test_config_algo_takes_a_list_of_choices(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        for algo in ("gc", ["gc", "bogus"]):
+            config.write_text(json.dumps({"algo": algo}))
+            assert run_cli("--config", str(config), "group", "--in", str(tmp_path / "c.txt")) == 2
+            assert "'algo'" in capsys.readouterr().err
 
 
 def test_unknown_flag_exit_2():

@@ -54,13 +54,6 @@ class TestResolution:
         with pytest.raises(ValueError, match="insufficient points for resolution"):
             compute_resolution(PointCloud([[0.0, 0.0, 0.0]]))
 
-    def test_subsample_cap_warns(self):
-        rng = np.random.default_rng(0)
-        cloud = PointCloud(rng.normal(size=(500, 3)))
-        with pytest.warns(UserWarning, match="subsample"):
-            value = compute_resolution(cloud, max_points=100)
-        assert value > 0
-
     def test_cached_property_matches(self):
         cloud = grid_cloud(side=3)
         assert cloud.resolution == compute_resolution(cloud)

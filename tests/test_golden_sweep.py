@@ -1,13 +1,18 @@
-"""A small fixed-seed inlier-ratio sweep must reproduce its CSV byte for byte.
+"""Small fixed-seed sweeps must reproduce their outputs byte for byte.
 
 ``tests/data/inlier_ratio_sweep_small.csv`` is the reference output of
-:data:`PLAN` for all seven algorithms. A change that alters it on purpose
-names the change in CHANGES.md and rewrites the file with
+:data:`PLAN` for all seven algorithms; :data:`GOLDEN_OUTPUTS` pins the same
+sweep as JSON and an epsilon-axis sweep on the same base. A change that
+alters them on purpose names the change in CHANGES.md and rewrites the
+files with
 
     PYTHONPATH=src python tests/test_golden_sweep.py
 """
 
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from corrgroup import (
     AlgorithmParams,
@@ -17,6 +22,7 @@ from corrgroup import (
     records_to_csv,
     run_sweep,
 )
+from corrgroup.evaluation import records_to_json
 
 GOLDEN = Path(__file__).parent / "data" / "inlier_ratio_sweep_small.csv"
 
@@ -33,12 +39,27 @@ PLAN = SweepPlan(
     base_seed=5,
 )
 
+EPSILON_PLAN = replace(PLAN, axis="epsilon_pr", levels=(2.0, 4.0, 8.0))
+
+# Golden file -> the output it pins.
+GOLDEN_OUTPUTS = {
+    "inlier_ratio_sweep_small.json": lambda: records_to_json(run_sweep(PLAN)),
+    "epsilon_sweep_small.csv": lambda: records_to_csv(run_sweep(EPSILON_PLAN)),
+}
+
 
 def test_sweep_csv_matches_golden_file():
     assert records_to_csv(run_sweep(PLAN)) == GOLDEN.read_text(encoding="ascii")
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_sweep_output_matches_golden_file(name):
+    assert GOLDEN_OUTPUTS[name]() == (GOLDEN.parent / name).read_text(encoding="ascii")
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(records_to_csv(run_sweep(PLAN)), encoding="ascii")
-    print(f"wrote {GOLDEN}")
+    outputs = {GOLDEN.name: lambda: records_to_csv(run_sweep(PLAN)), **GOLDEN_OUTPUTS}
+    for name, render in outputs.items():
+        (GOLDEN.parent / name).write_text(render(), encoding="ascii")
+        print(f"wrote {GOLDEN.parent / name}")

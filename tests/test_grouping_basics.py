@@ -8,13 +8,15 @@ from corrgroup import (
     Correspondence,
     CorrespondenceSet,
     GroupingResult,
-    HoughAccumulator,
     NonConvergenceError,
+    PointCloud,
+    group_3dhv,
     group_nnsr,
     group_ss,
     otsu_threshold,
     principal_eigenvector,
 )
+from corrgroup.grouping import hough_votes
 
 
 def scored_set(similarities, nn=None, d2=None):
@@ -252,31 +254,56 @@ class TestGroupingResult:
             GroupingResult((0, 1), scores={0: 1.0})
 
 
-class TestHoughAccumulator:
-    def test_bin_assignment_is_floor(self):
-        acc = HoughAccumulator(bin_side=0.5)
-        assert acc.cast(0, [0.49, -0.01, 1.0]) == (0, -1, 2)
+def hough_peak_oracle(votes, bin_side):
+    """Peak bin members by a dict accumulator: one floor and one int tuple
+    per vote; ties pick the lexicographically smallest bin coordinate."""
+    bins = {}
+    for index, vote in enumerate(votes):
+        coord = tuple(int(c) for c in np.floor(np.asarray(vote, dtype=np.float64) / bin_side))
+        bins.setdefault(coord, []).append(index)
+    coord = min(bins, key=lambda c: (-len(bins[c]), c))
+    return tuple(sorted(bins[coord]))
 
-    def test_peak_counts(self):
-        acc = HoughAccumulator(1.0)
-        for i in range(3):
-            acc.cast(i, [0.1, 0.1, 0.1])
-        acc.cast(3, [5.0, 5.0, 5.0])
-        coord, members = acc.peak()
-        assert coord == (0, 0, 0)
-        assert members == [0, 1, 2]
 
-    def test_peak_tie_lexicographic(self):
-        acc = HoughAccumulator(1.0)
-        acc.cast(0, [5.0, 0.0, 0.0])
-        acc.cast(1, [0.0, 0.0, 0.0])
-        coord, members = acc.peak()
-        assert coord == (0, 0, 0)
-        assert members == [1]
+ORIGIN = PointCloud([[0.0, 0.0, 0.0]])
 
-    def test_empty_peak(self):
-        assert HoughAccumulator(1.0).peak() is None
 
-    def test_requires_positive_bin(self):
-        with pytest.raises(ValueError):
-            HoughAccumulator(0.0)
+def vote_set(votes, resolution=1.0):
+    """A set whose Hough votes against ORIGIN are exactly ``votes``:
+    keypoints at the origin, identity frames, targets at the votes."""
+    n = len(votes)
+    frames = np.tile(np.eye(3), (n, 1, 1))
+    return CorrespondenceSet.from_arrays(
+        np.zeros((n, 3)), votes, np.ones(n), np.zeros(n), np.ones(n), resolution,
+        source_frames=frames, target_frames=frames)
+
+
+class TestHoughBinning:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dict_accumulator(self, seed):
+        # Equal-sized groups in bins around the origin force a tie at the
+        # peak; a third of their coordinates sit exactly on a bin edge, and
+        # scattered votes add lone bins.
+        rng = np.random.default_rng(seed)
+        bin_side = 0.5
+        bins = np.unique(rng.integers(-4, 4, size=(10, 3)), axis=0)
+        offsets = rng.uniform(0.0, bin_side, size=(len(bins), 4, 3))
+        offsets[rng.random(offsets.shape) < 1 / 3] = 0.0
+        grouped = (bins[:, None, :] * bin_side + offsets).reshape(-1, 3)
+        scattered = rng.uniform(-20.0, 20.0, size=(30, 3))
+        votes = np.vstack([grouped, scattered])[rng.permutation(len(grouped) + 30)]
+        cset = vote_set(votes)
+        assert np.array_equal(hough_votes(cset, ORIGIN), votes)
+        result = group_3dhv(cset, AlgorithmParams(hough_bin_pr=bin_side), ORIGIN)
+        assert result.inlier_indices == hough_peak_oracle(votes, bin_side)
+
+    def test_tie_picks_smallest_coordinate(self):
+        votes = np.array([[5.0, 0.0, 0.0], [-0.5, 9.0, 0.0], [5.2, 0.1, 0.3], [-0.1, 9.5, 0.9]])
+        result = group_3dhv(vote_set(votes), AlgorithmParams(hough_bin_pr=1.0), ORIGIN)
+        assert result.inlier_indices == (1, 3) == hough_peak_oracle(votes, 1.0)
+
+    def test_overflowing_bin_coordinates_rejected(self):
+        # Valid set, but vote / bin side exceeds float64 (1e250 / 5e-60).
+        cset = vote_set(np.full((4, 3), 1e250), resolution=1e-60)
+        with pytest.raises(ValueError, match="bin coordinates are not finite"):
+            group_3dhv(cset, AlgorithmParams(), ORIGIN)
