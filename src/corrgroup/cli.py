@@ -338,7 +338,7 @@ def cmd_group(args) -> int:
     algorithms = _selected_algorithms(args)
     params = _params_from_args(args)
     epsilon_pr = _pick(args, "epsilon_pr", 4.0)
-    if epsilon_pr <= 0:
+    if not (epsilon_pr > 0):
         raise ValidationFailure("--epsilon-pr must be positive")
 
     cset = load_correspondences(args.input)

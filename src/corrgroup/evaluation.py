@@ -61,7 +61,7 @@ CSV_COLUMNS = (
 
 def judge(c: Correspondence, ground_truth: RigidTransform, epsilon: float) -> bool:
     """True when the ground-truth residual of c is within epsilon (inclusive)."""
-    if epsilon <= 0:
+    if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
     residual = float(np.linalg.norm(ground_truth.apply(c.source_point) - c.target_point))
     return residual <= epsilon
@@ -69,7 +69,7 @@ def judge(c: Correspondence, ground_truth: RigidTransform, epsilon: float) -> bo
 
 def judge_set(cset: CorrespondenceSet, epsilon: float) -> np.ndarray:
     """Boolean judgment mask over a whole correspondence set."""
-    if epsilon <= 0:
+    if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
     if cset.ground_truth is None:
         raise ValueError("correspondence set has no ground truth")
@@ -175,7 +175,7 @@ class InstanceSpec:
     epsilon_pr: float = 4.0
 
     def __post_init__(self):
-        if self.epsilon_pr <= 0:
+        if not (self.epsilon_pr > 0):
             raise ValueError("epsilon_pr must be positive")
 
 
@@ -195,7 +195,7 @@ class SweepPlan:
         levels = tuple(float(v) for v in self.levels)
         if len(levels) < 2:
             raise ValueError("a sweep needs at least 2 levels")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
+        if any(not (b > a) for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
         if self.trials_per_level < 1:
             raise ValueError("trials_per_level must be positive")
@@ -276,7 +276,7 @@ def run_sweep(plan: SweepPlan, algorithms=ALGORITHM_NAMES, *, n_workers: int = 1
              for trial in range(plan.trials_per_level)]
     run_cell = partial(_run_cell, plan, algorithms)
     if n_workers > 1 and len(cells) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(n_workers, len(cells))) as pool:
             chunks = list(pool.map(run_cell, *zip(*cells)))
     else:
         chunks = [run_cell(*cell) for cell in cells]

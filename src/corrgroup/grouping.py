@@ -223,19 +223,13 @@ def group_ss(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     """Keep correspondences whose similarity clears a cutoff.
 
     With ``t_ss=None`` the cutoff adapts via :func:`otsu_threshold`; if the
-    similarities are all equal the split is degenerate and everything is
-    kept.
+    similarities are all equal the split is degenerate, its threshold is
+    that value, and everything is kept.
     """
     if len(cset) == 0:
         return _empty_result()
     sims = cset.similarities
-    if params.t_ss is not None:
-        cutoff = params.t_ss
-    else:
-        cutoff, degenerate = otsu_threshold(sims)
-        if degenerate:
-            idx = tuple(range(len(cset)))
-            return GroupingResult(idx, scores={i: float(sims[i]) for i in idx})
+    cutoff = otsu_threshold(sims).threshold if params.t_ss is None else params.t_ss
     keep = np.flatnonzero(sims >= cutoff)
     return GroupingResult(tuple(int(i) for i in keep),
                           scores={int(i): float(sims[i]) for i in keep})
@@ -291,17 +285,15 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
             fit = estimate_rigid_transform(src[sample], tgt[sample])
         except DegenerateSampleError:
             continue
-        residuals = np.linalg.norm(fit.apply(src) - tgt, axis=1)
-        count = int((residuals < threshold).sum())
+        inliers = np.linalg.norm(fit.apply(src) - tgt, axis=1) < threshold
+        count = int(inliers.sum())
         if count > best_count:
-            best_count = count
-            best = fit
+            best_count, best, consensus = count, fit, inliers
 
     if best is None:
         return _empty_result()
 
-    consensus = np.linalg.norm(best.apply(src) - tgt, axis=1) < threshold
-    if consensus.sum() >= 3:
+    if best_count >= 3:
         try:
             best = estimate_rigid_transform(src[consensus], tgt[consensus])
         except DegenerateSampleError:
@@ -319,10 +311,10 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
 
     M holds pairwise rigidity scores that clear ``t_st`` (zero diagonal);
     its principal eigenvector ranks each correspondence's association with
-    the main consistent cluster. The greedy loop accepts the highest-ranked
-    survivor and removes every correspondence sharing its source or target
-    keypoint (the one-to-one mapping constraint), stopping when the top
-    surviving entry is zero within 1e-12 or nothing remains.
+    the main consistent cluster. Correspondences are accepted greedily in
+    descending rank (equal entries in index order), skipping any whose
+    source or target keypoint equals that of an accepted one (the
+    one-to-one mapping constraint), until an entry is zero within 1e-12.
 
     The eigenvector is computed once on the full matrix, not per round: a
     per-round recomputation would strand the last member of every clique
@@ -348,26 +340,19 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     # to never fail on valid input.
     vector, _, _ = _power_iterate(matrix, tol=1e-10, max_iter=10000)
 
-    remaining = np.arange(n)
-    accepted: list[int] = []
-    accepted_scores: dict[int, float] = {}
-    while remaining.size:
-        local = int(np.argmax(vector[remaining]))
-        top = float(vector[remaining][local])
-        if top <= 1e-12:
+    order = np.argsort(-vector, kind="stable")
+    # Coordinate tuples compare like the arrays (-0.0 == 0.0; columns are finite).
+    used_src, used_tgt = set(), set()
+    accepted: dict[int, float] = {}
+    for i, entry, s, t in zip(order.tolist(), vector[order].tolist(),
+                              map(tuple, src[order].tolist()), map(tuple, tgt[order].tolist())):
+        if entry <= 1e-12:
             break
-        chosen = int(remaining[local])
-        accepted.append(chosen)
-        accepted_scores[chosen] = top
-        conflict = (
-            (src[remaining] == src[chosen]).all(axis=1)
-            | (tgt[remaining] == tgt[chosen]).all(axis=1)
-        )
-        conflict[local] = True
-        remaining = remaining[~conflict]
-
-    accepted.sort()
-    return GroupingResult(tuple(accepted), scores=accepted_scores or None)
+        if s not in used_src and t not in used_tgt:
+            used_src.add(s)
+            used_tgt.add(t)
+            accepted[i] = entry
+    return GroupingResult(tuple(sorted(accepted)), scores=accepted or None)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +435,13 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     """Local plus global voting with an adaptive cutoff on the vote score.
 
     Local voters for c are the ratio-test survivors among its kappa nearest
-    correspondences (by source-point distance); a local vote needs rigidity
-    above ``si_sigma``. Global voters are the kappa best ratio scores; a
-    global vote additionally needs the frame-induced motion of c to map the
-    voter's source point within ``si_delta_pr`` resolutions of the voter's
-    target point. The combined score is thresholded by Otsu's rule, keeping
-    everything when the split is degenerate.
+    correspondences (by source-point distance, ties to the lower index); a
+    local vote needs rigidity above ``si_sigma``. Global voters are the
+    kappa best ratio scores; a global vote additionally needs the
+    frame-induced motion of c to map the voter's source point within
+    ``si_delta_pr`` resolutions of the voter's target point. The combined
+    score is thresholded by Otsu's rule, which keeps everything when all
+    scores are equal.
     """
     n = len(cset)
     if n == 0:
@@ -475,16 +461,21 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     rigidity = _rigidity_from_lengths(source_dist, target_dist)
     del target_dist
 
-    # kappa nearest neighbors per row by source-point distance (self excluded);
-    # stable sort makes distance ties resolve by index.
+    # kappa nearest neighbours per row by source-point distance (self
+    # excluded): every distance below the kappa-th smallest, then the ties
+    # at it in index order until kappa are taken.
     np.fill_diagonal(source_dist, np.inf)
-    neighbors = np.argsort(source_dist, axis=1, kind="stable")[:, :kappa]
+    kth = np.partition(source_dist, kappa - 1, axis=1)[:, [kappa - 1]]
+    near = source_dist < kth
+    ties = source_dist == kth
     del source_dist
+    near |= ties & (np.cumsum(ties, axis=1, dtype=np.int32)
+                    <= kappa - near.sum(axis=1, keepdims=True, dtype=np.int32))
+    del ties
 
-    neighbor_pass = ratio_pass[neighbors]
-    local_voters = neighbor_pass.sum(axis=1)
-    neighbor_rigidity = np.take_along_axis(rigidity, neighbors, axis=1)
-    local_votes = (neighbor_pass & (neighbor_rigidity > params.si_sigma)).sum(axis=1)
+    near &= ratio_pass
+    local_voters = near.sum(axis=1)
+    local_votes = (near & (rigidity > params.si_sigma)).sum(axis=1)
 
     # Global voters: top-kappa ratio scores (stable sort, so ties by index).
     global_voters = np.argsort(-lowe, kind="stable")[:kappa]
@@ -505,11 +496,7 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     denominator = local_voters + kappa
     scores = (local_votes + global_votes) / denominator
 
-    cutoff, degenerate = otsu_threshold(scores)
-    if degenerate:
-        keep = np.arange(n)
-    else:
-        keep = np.flatnonzero(scores >= cutoff)
+    keep = np.flatnonzero(scores >= otsu_threshold(scores).threshold)
     return GroupingResult(tuple(int(i) for i in keep),
                           scores={int(i): float(scores[i]) for i in keep})
 

@@ -120,6 +120,12 @@ class TestGroup:
             assert (tmp_path / f"idx_{name}.txt").exists()
         assert "precision" in table and "recall" in table
 
+    def test_nan_epsilon_exit_2(self, synth_files, capsys):
+        code = run_cli("group", "--algo", "ss", "--in", str(synth_files["corrs"]),
+                       "--gt", str(synth_files["gt"]), "--epsilon-pr", "nan")
+        assert code == 2
+        assert "--epsilon-pr must be positive" in capsys.readouterr().err
+
     def test_ransac_transform_sidecar(self, synth_files, tmp_path):
         tf_path = tmp_path / "tf.txt"
         code = run_cli(

@@ -19,7 +19,10 @@ from corrgroup import (
     score,
     time_algorithms,
 )
+from corrgroup import evaluation
 from corrgroup.evaluation import records_from_json, records_to_json
+
+NAN = float("nan")
 
 
 def identity_set(n, gt=True):
@@ -57,6 +60,11 @@ class TestJudge:
     def test_outside(self):
         c = Correspondence(np.zeros(3), np.array([5.0, 0.0, 0.0]), 0.9, 0.1, 1.0)
         assert not judge(c, RigidTransform.identity(), 4.0)
+
+    def test_rejects_nan_epsilon(self):
+        c = Correspondence(np.zeros(3), np.zeros(3), 0.9, 0.1, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            judge(c, RigidTransform.identity(), NAN)
 
     def test_requires_positive_epsilon(self):
         c = Correspondence(np.zeros(3), np.zeros(3), 0.9, 0.1, 1.0)
@@ -96,6 +104,11 @@ class TestScore:
         cset = displaced_set([0.0] * 8 + [50.0] * 4)
         record = score(GroupingResult(tuple(range(8))), cset, 4.0)
         assert record.precision == 1.0 and record.recall == 1.0
+
+    def test_rejects_nan_epsilon(self):
+        # NaN passes an `epsilon <= 0` check and then judges every correspondence wrong.
+        with pytest.raises(ValueError, match="positive"):
+            score(GroupingResult((0, 1)), identity_set(3), NAN)
 
     def test_missing_ground_truth_rejected(self):
         cset = identity_set(3, gt=False)
@@ -194,6 +207,37 @@ class TestRunSweep:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_sweep(small_plan(), algorithms=("nope",))
+
+    def test_pool_never_larger_than_the_cell_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(evaluation.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        plan = small_plan(levels=(0.3, 0.5, 0.7), trials=1)
+        records = run_sweep(plan, algorithms=("ss",), n_workers=64)
+        assert sizes == [3]
+        assert records_to_csv(records) == records_to_csv(run_sweep(plan, algorithms=("ss",)))
+
+    @pytest.mark.parametrize("levels", [(NAN, 1.0), (1.0, NAN)])
+    def test_plan_rejects_nan_level(self, levels):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            small_plan(levels=levels)
+
+    def test_spec_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="positive"):
+            InstanceSpec(epsilon_pr=NAN)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):

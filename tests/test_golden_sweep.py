@@ -2,7 +2,8 @@
 
 ``tests/data/inlier_ratio_sweep_small.csv`` is the reference output of
 :data:`PLAN` for all seven algorithms; :data:`GOLDEN_OUTPUTS` pins the same
-sweep as JSON and an epsilon-axis sweep on the same base. A change that
+sweep as JSON, an epsilon-axis sweep on the same base, and st's and si's
+indices and scores on two larger sets (:func:`st_si_large_sets`). A change that
 alters them on purpose names the change in CHANGES.md and rewrites the
 files with
 
@@ -18,7 +19,13 @@ from corrgroup import (
     AlgorithmParams,
     CorrespondenceRecipe,
     InstanceSpec,
+    SceneRecipe,
     SweepPlan,
+    generate_correspondences,
+    generate_scene,
+    group_si,
+    group_st,
+    make_test_model,
     records_to_csv,
     run_sweep,
 )
@@ -41,10 +48,31 @@ PLAN = SweepPlan(
 
 EPSILON_PLAN = replace(PLAN, axis="epsilon_pr", levels=(2.0, 4.0, 8.0))
 
+
+def st_si_large_sets() -> str:
+    """st's and si's inliers with scores (``%.17g``) on n = 600 and 1000.
+
+    At n = 120 si's kappa (250) is capped at n - 1, so every other
+    correspondence is a neighbour; these sizes make si pick its kappa
+    nearest by distance.
+    """
+    model = make_test_model("torus", 2000, 0)
+    lines = ["n,algorithm,index,score"]
+    for n in (600, 1000):
+        scene, truth = generate_scene(model, SceneRecipe(rotation_seed=n, rng_seed=n + 1))
+        cset = generate_correspondences(model, scene, truth, CorrespondenceRecipe(
+            n_total=n, inlier_ratio=0.3, lrf_noise_deg=5.0, rng_seed=n + 2))
+        for name, group in (("st", group_st), ("si", group_si)):
+            result = group(cset, AlgorithmParams())
+            lines += [f"{n},{name},{i},{result.scores[i]:.17g}" for i in result.inlier_indices]
+    return "\n".join(lines) + "\n"
+
+
 # Golden file -> the output it pins.
 GOLDEN_OUTPUTS = {
     "inlier_ratio_sweep_small.json": lambda: records_to_json(run_sweep(PLAN)),
     "epsilon_sweep_small.csv": lambda: records_to_csv(run_sweep(EPSILON_PLAN)),
+    "st_si_large_sets.csv": st_si_large_sets,
 }
 
 
