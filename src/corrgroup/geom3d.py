@@ -86,13 +86,8 @@ class RigidTransform:
 
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3).copy()
-        tra = _as_vec3(self.translation).copy()
-        if not np.isfinite(rot).all():
-            raise ValueError("rotation entries must be finite")
-        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
-            raise ValueError("rotation matrix is not orthonormal")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise ValueError("rotation matrix must have determinant +1")
+        tra = np.asarray(self.translation, dtype=np.float64).reshape(3).copy()
+        _check_rigid_stack(rot[None], tra[None])
         rot.setflags(write=False)
         tra.setflags(write=False)
         object.__setattr__(self, "rotation", rot)
@@ -117,18 +112,69 @@ class RigidTransform:
         )
 
 
+_RIGID_FAULTS = ("vector components must be finite", "rotation entries must be finite",
+                 "rotation matrix is not orthonormal", "rotation matrix must have determinant +1")
+
+
+def _check_rigid_stack(rotations: np.ndarray, translations: np.ndarray) -> None:
+    """The :class:`RigidTransform` rule on a (k, 3, 3) / (k, 3) stack: raise
+    its ``ValueError`` for the first pair that fails, naming the first check
+    it fails (finite translation, finite rotation, R^T R = I and det +1, 1e-9)."""
+    finite = np.isfinite(rotations).all(axis=(1, 2))
+    rot = np.where(finite[:, None, None], rotations, np.eye(3))
+    faults = np.array([
+        ~np.isfinite(translations).all(axis=1),
+        ~finite,
+        np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(3)).max(axis=(1, 2)) > 1e-9,
+        np.abs(np.linalg.det(rot) - 1.0) > 1e-9,
+    ])
+    faulty = faults.any(axis=0)
+    if faulty.any():
+        raise ValueError(_RIGID_FAULTS[int(np.argmax(faults[:, np.argmax(faulty)]))])
+
+
 def apply_transform(transform: RigidTransform, cloud: PointCloud) -> PointCloud:
     """Apply a rigid transform to every point of a cloud."""
     return PointCloud(transform.apply(cloud.points))
 
 
+def _fit_rigid_stack(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares rigid fits of a (k, m, 3) stack of point pairs (Kabsch).
+
+    Returns the rotations and translations of the non-degenerate fits, in
+    stack order, and the (k,) mask of which fits those are. A fit is
+    degenerate when its source points are (near-)collinear: the rotation
+    about the line is unconstrained. Each rotation is the SVD solution over
+    centered coordinates with the determinant correction, so it is proper.
+    """
+    src_mean = source.mean(axis=1)
+    tgt_mean = target.mean(axis=1)
+    src_c = source - src_mean[:, None, :]
+    tgt_c = target - tgt_mean[:, None, :]
+
+    # Collinearity check on the second singular value; the third is ~0 for
+    # any planar sample (e.g. every 3-point sample), which is fine.
+    sv = np.linalg.svd(src_c, compute_uv=False)
+    fitted = ~((sv[:, 0] <= 0.0) | (sv[:, 1] < 1e-9 * sv[:, 0]))
+    src_c, tgt_c, src_mean, tgt_mean = src_c[fitted], tgt_c[fitted], src_mean[fitted], tgt_mean[fitted]
+
+    u, _, vt = np.linalg.svd(src_c.transpose(0, 2, 1) @ tgt_c)
+    v = vt.transpose(0, 2, 1)
+    rot = v @ u.transpose(0, 2, 1)
+    flip = np.linalg.det(rot) < 0
+    if flip.any():
+        v = v[flip]
+        v[:, :, -1] *= -1.0
+        rot[flip] = v @ u[flip].transpose(0, 2, 1)
+    return rot, tgt_mean - (rot @ src_mean[..., None])[..., 0], fitted
+
+
 def estimate_rigid_transform(source_points, target_points) -> RigidTransform:
     """Least-squares rigid fit mapping source points onto target points.
 
-    Uses the SVD (Kabsch) solution over centered coordinates with the
-    determinant correction, so the result is always a proper rotation.
-    Raises :class:`DegenerateSampleError` when the source points are
-    (near-)collinear: the rotation about the line is unconstrained.
+    :func:`_fit_rigid_stack` on a stack of one. Raises
+    :class:`DegenerateSampleError` when the source points are
+    (near-)collinear.
     """
     src = _as_points(source_points)
     tgt = _as_points(target_points)
@@ -136,26 +182,10 @@ def estimate_rigid_transform(source_points, target_points) -> RigidTransform:
         raise ValueError("source and target point counts differ")
     if len(src) < 3:
         raise ValueError("need at least 3 point pairs")
-
-    src_mean = src.mean(axis=0)
-    tgt_mean = tgt.mean(axis=0)
-    src_c = src - src_mean
-    tgt_c = tgt - tgt_mean
-
-    # Collinearity check on the second singular value; the third is ~0 for
-    # any planar sample (e.g. every 3-point sample), which is fine.
-    sv = np.linalg.svd(src_c, compute_uv=False)
-    if sv[0] <= 0.0 or sv[1] < 1e-9 * sv[0]:
+    rot, tra, fitted = _fit_rigid_stack(src[None], tgt[None])
+    if not fitted[0]:
         raise DegenerateSampleError("degenerate sample")
-
-    u, _, vt = np.linalg.svd(src_c.T @ tgt_c)
-    v = vt.T
-    rot = v @ u.T
-    if np.linalg.det(rot) < 0:
-        v = v.copy()
-        v[:, -1] *= -1.0
-        rot = v @ u.T
-    return RigidTransform(rot, tgt_mean - rot @ src_mean)
+    return RigidTransform(rot[0], tra[0])
 
 
 def frame_faults(axes: np.ndarray) -> list[tuple[np.ndarray, str]]:

@@ -36,7 +36,14 @@ from .corr_model import (
     pairwise_lengths,
     pairwise_rigidity,
 )
-from .geom3d import DegenerateSampleError, PointCloud, RigidTransform, estimate_rigid_transform
+from .geom3d import (
+    DegenerateSampleError,
+    PointCloud,
+    RigidTransform,
+    _check_rigid_stack,
+    _fit_rigid_stack,
+    estimate_rigid_transform,
+)
 
 
 class NonConvergenceError(ArithmeticError):
@@ -260,6 +267,10 @@ def group_nnsr(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResu
 # RANSAC
 # ---------------------------------------------------------------------------
 
+# Bytes of one block's (B, n, 3) float64 residual array; B >= 1.
+RANSAC_BLOCK_BYTES = 3 * 2**19
+
+
 def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult:
     """Random 3-sample consensus over the correspondence set.
 
@@ -268,6 +279,10 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
     with residual below ``d_ransac_pr`` resolutions. The best sample by
     inlier count (earliest iteration wins ties) is refit by least squares
     on its consensus set; the refit transform's consensus is returned.
+
+    Iterations run in blocks drawn from the one sample stream: a block's
+    samples are fitted together and their consensus counted exactly, with
+    the block sized so its residuals take at most ``RANSAC_BLOCK_BYTES``.
     """
     n = len(cset)
     if n < 3:
@@ -276,23 +291,29 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
     tgt = cset.target_points
     threshold = params.d_ransac_pr * cset.source_resolution_pr
     rng = np.random.default_rng(params.rng_seed)
+    block = max(1, RANSAC_BLOCK_BYTES // src.nbytes)
 
     best_count = 0
-    best: RigidTransform | None = None
-    for _ in range(params.n_ransac):
-        sample = rng.choice(n, size=3, replace=False)
-        try:
-            fit = estimate_rigid_transform(src[sample], tgt[sample])
-        except DegenerateSampleError:
-            continue
-        inliers = np.linalg.norm(fit.apply(src) - tgt, axis=1) < threshold
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count, best, consensus = count, fit, inliers
+    for start in range(0, params.n_ransac, block):
+        samples = np.array([rng.choice(n, size=3, replace=False)
+                            for _ in range(min(block, params.n_ransac - start))])
+        rot, tra, _ = _fit_rigid_stack(src[samples], tgt[samples])
+        _check_rigid_stack(rot, tra)
+        residual = src @ rot.transpose(0, 2, 1)
+        residual += tra[:, None, :]
+        residual -= tgt
+        # np.linalg.norm(residual, axis=2), without its two (B, n, 3) temporaries.
+        residual *= residual
+        inliers = np.sqrt(residual.sum(axis=2)) < threshold
+        counts = inliers.sum(axis=1)
+        if counts.max(initial=0) > best_count:
+            k = int(np.argmax(counts))
+            best_count, best_fit, consensus = int(counts[k]), (rot[k], tra[k]), inliers[k]
 
-    if best is None:
+    if best_count == 0:
         return _empty_result()
 
+    best = RigidTransform(*best_fit)
     if best_count >= 3:
         try:
             best = estimate_rigid_transform(src[consensus], tgt[consensus])

@@ -46,7 +46,7 @@ class SceneRecipe:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma_pr < 0:
+        if not (self.noise_sigma_pr >= 0):
             raise ValueError("noise_sigma_pr must be >= 0")
         if not (0.0 < self.downsample_ratio <= 1.0):
             raise ValueError("downsample_ratio must be in (0, 1]")
@@ -93,11 +93,11 @@ class CorrespondenceRecipe:
             raise ValueError("n_total must be positive")
         if not (0.0 <= self.inlier_ratio <= 1.0):
             raise ValueError("inlier_ratio must be in [0, 1]")
-        if self.inlier_jitter_pr < 0:
+        if not (self.inlier_jitter_pr >= 0):
             raise ValueError("inlier_jitter_pr must be >= 0")
-        if self.outlier_min_offset_pr <= 0:
+        if not (self.outlier_min_offset_pr > 0):
             raise ValueError("outlier_min_offset_pr must be positive")
-        if self.lrf_noise_deg < 0:
+        if not (self.lrf_noise_deg >= 0):
             raise ValueError("lrf_noise_deg must be >= 0")
         if self.outlier_min_offset_pr <= 2.0 * _DEFAULT_EPSILON_PR:
             warnings.warn(

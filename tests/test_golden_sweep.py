@@ -3,8 +3,9 @@
 ``tests/data/inlier_ratio_sweep_small.csv`` is the reference output of
 :data:`PLAN` for all seven algorithms; :data:`GOLDEN_OUTPUTS` pins the same
 sweep as JSON, an epsilon-axis sweep on the same base, and st's and si's
-indices and scores on two larger sets (:func:`st_si_large_sets`). A change that
-alters them on purpose names the change in CHANGES.md and rewrites the
+indices and scores on two larger sets (:func:`st_si_large_sets`), and RANSAC's
+inliers and transform on the same sets (:func:`ransac_large_sets`). A change
+that alters them on purpose names the change in CHANGES.md and rewrites the
 files with
 
     PYTHONPATH=src python tests/test_golden_sweep.py
@@ -23,6 +24,7 @@ from corrgroup import (
     SweepPlan,
     generate_correspondences,
     generate_scene,
+    group_ransac,
     group_si,
     group_st,
     make_test_model,
@@ -49,6 +51,15 @@ PLAN = SweepPlan(
 EPSILON_PLAN = replace(PLAN, axis="epsilon_pr", levels=(2.0, 4.0, 8.0))
 
 
+def large_sets():
+    """(n, set) for n = 600 and 1000: inlier ratio 0.3, 5 degree LRF noise."""
+    model = make_test_model("torus", 2000, 0)
+    for n in (600, 1000):
+        scene, truth = generate_scene(model, SceneRecipe(rotation_seed=n, rng_seed=n + 1))
+        yield n, generate_correspondences(model, scene, truth, CorrespondenceRecipe(
+            n_total=n, inlier_ratio=0.3, lrf_noise_deg=5.0, rng_seed=n + 2))
+
+
 def st_si_large_sets() -> str:
     """st's and si's inliers with scores (``%.17g``) on n = 600 and 1000.
 
@@ -56,15 +67,24 @@ def st_si_large_sets() -> str:
     correspondence is a neighbour; these sizes make si pick its kappa
     nearest by distance.
     """
-    model = make_test_model("torus", 2000, 0)
     lines = ["n,algorithm,index,score"]
-    for n in (600, 1000):
-        scene, truth = generate_scene(model, SceneRecipe(rotation_seed=n, rng_seed=n + 1))
-        cset = generate_correspondences(model, scene, truth, CorrespondenceRecipe(
-            n_total=n, inlier_ratio=0.3, lrf_noise_deg=5.0, rng_seed=n + 2))
+    for n, cset in large_sets():
         for name, group in (("st", group_st), ("si", group_si)):
             result = group(cset, AlgorithmParams())
             lines += [f"{n},{name},{i},{result.scores[i]:.17g}" for i in result.inlier_indices]
+    return "\n".join(lines) + "\n"
+
+
+def ransac_large_sets() -> str:
+    """RANSAC's inliers, rotation (row-major) and translation (``%.17g``) with
+    default parameters on :func:`large_sets`."""
+    lines = ["n,field,position,value"]
+    for n, cset in large_sets():
+        result = group_ransac(cset, AlgorithmParams())
+        lines += [f"{n},inlier,{k},{i}" for k, i in enumerate(result.inlier_indices)]
+        for field, values in (("rotation", result.transform.rotation.ravel()),
+                              ("translation", result.transform.translation)):
+            lines += [f"{n},{field},{k},{v:.17g}" for k, v in enumerate(values.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -73,6 +93,7 @@ GOLDEN_OUTPUTS = {
     "inlier_ratio_sweep_small.json": lambda: records_to_json(run_sweep(PLAN)),
     "epsilon_sweep_small.csv": lambda: records_to_csv(run_sweep(EPSILON_PLAN)),
     "st_si_large_sets.csv": st_si_large_sets,
+    "ransac_large_sets.csv": ransac_large_sets,
 }
 
 

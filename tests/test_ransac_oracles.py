@@ -1,0 +1,245 @@
+"""Block-batched RANSAC and the stacked Kabsch fit against the loops they
+replace.
+
+``rigid_fit_oracle`` is the scalar Kabsch fit of one point sample, and
+``ransac_loop_oracle`` is RANSAC as one fit, one ``apply`` and one residual
+norm per iteration. Both must agree with the package bit for bit: inlier
+indices, ``rotation.tobytes()`` and ``translation.tobytes()``. Integer-grid
+keypoints give duplicate keypoints, collinear (degenerate) samples and exact
+consensus ties, so the earliest-iteration tie rule is exercised.
+"""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corrgroup import (
+    AlgorithmParams,
+    CorrespondenceSet,
+    RigidTransform,
+    estimate_rigid_transform,
+    group_ransac,
+    grouping,
+)
+from corrgroup.geom3d import DegenerateSampleError, _check_rigid_stack, _fit_rigid_stack
+
+# Exact rotations about z by 0, 90, 180 and 270 degrees.
+QUARTER_TURNS = np.array([np.linalg.matrix_power([[0, -1, 0], [1, 0, 0], [0, 0, 1]], k)
+                          for k in range(4)], dtype=np.float64)
+MIRROR = np.diag([1.0, 1.0, -1.0])
+
+
+def rigid_fit_oracle(src, tgt):
+    """(rotation, translation) of the scalar Kabsch fit; None when degenerate."""
+    src_mean = src.mean(axis=0)
+    tgt_mean = tgt.mean(axis=0)
+    src_c = src - src_mean
+    tgt_c = tgt - tgt_mean
+    sv = np.linalg.svd(src_c, compute_uv=False)
+    if sv[0] <= 0.0 or sv[1] < 1e-9 * sv[0]:
+        return None
+    u, _, vt = np.linalg.svd(src_c.T @ tgt_c)
+    v = vt.T
+    rot = v @ u.T
+    if np.linalg.det(rot) < 0:
+        v = v.copy()
+        v[:, -1] *= -1.0
+        rot = v @ u.T
+    return rot, tgt_mean - rot @ src_mean
+
+
+def ransac_loop_oracle(cset, params):
+    """(indices, rotation, translation) of RANSAC as a per-iteration loop."""
+    n = len(cset)
+    src = cset.source_points
+    tgt = cset.target_points
+    threshold = params.d_ransac_pr * cset.source_resolution_pr
+    rng = np.random.default_rng(params.rng_seed)
+
+    def consensus(rot, tra):
+        return np.linalg.norm(src @ rot.T + tra - tgt, axis=1) < threshold
+
+    best_count, best = 0, None
+    for _ in range(params.n_ransac):
+        sample = rng.choice(n, size=3, replace=False)
+        fit = rigid_fit_oracle(src[sample], tgt[sample])
+        if fit is None:
+            continue
+        inliers = consensus(*fit)
+        if int(inliers.sum()) > best_count:
+            best_count, best, best_inliers = int(inliers.sum()), fit, inliers
+    if best is None:
+        return (), None, None
+    if best_count >= 3:
+        best = rigid_fit_oracle(src[best_inliers], tgt[best_inliers]) or best
+    return tuple(np.flatnonzero(consensus(*best)).tolist()), best[0], best[1]
+
+
+def assert_same_result(result, oracle):
+    indices, rot, tra = oracle
+    assert result.inlier_indices == indices
+    if rot is None:
+        assert result.transform is None
+    else:
+        assert result.transform.rotation.tobytes() == rot.tobytes()
+        assert result.transform.translation.tobytes() == tra.tobytes()
+
+
+def grid_set(seed, n, inlier_share, offset, resolution=1.0):
+    """Keypoints on a small integer grid; inlier targets are an exact
+    quarter turn plus an integer shift, outliers are random grid points."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+    tgt = src @ QUARTER_TURNS[seed % 4].T + rng.integers(-5, 6, size=3)
+    outliers = rng.random(n) >= inlier_share
+    tgt[outliers] = rng.integers(-3, 4, size=(int(outliers.sum()), 3))
+    ones = np.ones(n)
+    return CorrespondenceSet.from_arrays(src + offset, tgt + offset, ones, ones, ones, resolution)
+
+
+def block_size(n):
+    return max(1, grouping.RANSAC_BLOCK_BYTES // (24 * n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+       inlier_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       offset=st.sampled_from([0.0, 1e6]), d_ransac_pr=st.sampled_from([0.5, 1.0, 2.5]),
+       block=st.integers(1, 9), runs=st.sampled_from(["one", "block-1", "block+1", "3block+7"]))
+def test_ransac_matches_loop_across_block_edges(seed, n, inlier_share, offset, d_ransac_pr, block, runs):
+    n_ransac = {"one": 1, "block-1": max(1, block - 1), "block+1": block + 1,
+                "3block+7": 3 * block + 7}[runs]
+    cset = grid_set(seed, n, inlier_share, offset)
+    params = AlgorithmParams(n_ransac=n_ransac, d_ransac_pr=d_ransac_pr, rng_seed=seed)
+    # Blocks of `block` samples: the budget is counted in (n, 3) float64 arrays.
+    with mock.patch.object(grouping, "RANSAC_BLOCK_BYTES", 24 * n * block):
+        assert block_size(n) == block
+        result = group_ransac(cset, params)
+    assert_same_result(result, ransac_loop_oracle(cset, params))
+
+
+@pytest.mark.parametrize("n", [3, 40])
+@pytest.mark.parametrize("extra", [-1, 1, "3B+7"])
+def test_ransac_matches_loop_at_the_package_block_size(n, extra):
+    block = block_size(n)
+    n_ransac = 3 * block + 7 if extra == "3B+7" else block + extra
+    cset = grid_set(n, n, 0.5, 1e6)
+    params = AlgorithmParams(n_ransac=n_ransac, d_ransac_pr=1.0, rng_seed=n)
+    assert_same_result(group_ransac(cset, params), ransac_loop_oracle(cset, params))
+
+
+def kabsch_pair(seed, m, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        src = rng.integers(-2, 3, size=(m, 3)).astype(np.float64)
+    elif kind == "collinear":
+        src = rng.integers(-3, 4, size=(m, 1)) * np.array([1.0, -2.0, 3.0]) + 7.0
+    else:
+        src = rng.normal(size=(m, 3)) * 10.0
+    if kind == "offset":
+        src += 1e6
+    if kind == "reflection":
+        # A mirror image: the unconstrained fit is improper, so the
+        # determinant fix runs.
+        tgt = src @ MIRROR.T + rng.normal(size=3)
+    else:
+        tgt = src @ QUARTER_TURNS[seed % 4].T + rng.normal(size=(m, 3)) * rng.choice([0.0, 0.1, 10.0])
+    return src, tgt
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.one_of(st.integers(3, 12), st.integers(13, 1000)),
+       kind=st.sampled_from(["grid", "collinear", "normal", "offset", "reflection"]))
+def test_rigid_fit_matches_scalar_kabsch(seed, m, kind):
+    src, tgt = kabsch_pair(seed, m, kind)
+    expected = rigid_fit_oracle(src, tgt)
+    if expected is None:
+        with pytest.raises(DegenerateSampleError):
+            estimate_rigid_transform(src, tgt)
+        return
+    fit = estimate_rigid_transform(src, tgt)
+    assert fit.rotation.tobytes() == expected[0].tobytes()
+    assert fit.translation.tobytes() == expected[1].tobytes()
+
+
+def test_reflections_and_degenerate_samples_are_covered():
+    src, tgt = kabsch_pair(1, 10, "reflection")
+    src_c = src - src.mean(axis=0)
+    u, _, vt = np.linalg.svd(src_c.T @ (tgt - tgt.mean(axis=0)))
+    assert np.linalg.det(vt.T @ u.T) < 0
+    assert rigid_fit_oracle(*kabsch_pair(1, 10, "collinear")) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 40), offset=st.sampled_from([0.0, 1e6]))
+def test_stacked_fits_match_scalar_fits(seed, k, offset):
+    rng = np.random.default_rng(seed)
+    src = rng.integers(-2, 3, size=(k, 3, 3)).astype(np.float64) + offset
+    tgt = rng.integers(-2, 3, size=(k, 3, 3)).astype(np.float64) + offset
+    rot, tra, fitted = _fit_rigid_stack(src, tgt)
+    expected = [rigid_fit_oracle(s, t) for s, t in zip(src, tgt)]
+    assert fitted.tolist() == [e is not None for e in expected]
+    kept = [e for e in expected if e is not None]
+    assert rot.tobytes() == np.array([r for r, _ in kept]).reshape(-1, 3, 3).tobytes()
+    assert tra.tobytes() == np.array([t for _, t in kept]).reshape(-1, 3).tobytes()
+
+
+def test_stack_check_raises_the_first_faulty_pair_first_fault():
+    rot = np.repeat(np.eye(3)[None], 5, axis=0)
+    tra = np.zeros((5, 3))
+    rot[4] = np.nan
+    rot[2, 0, 0] = 2.0          # not orthonormal (its det is 2 as well)
+    tra[3, 1] = np.inf
+    with pytest.raises(ValueError, match="not orthonormal"):
+        _check_rigid_stack(rot, tra)
+    for k in range(5):
+        try:
+            RigidTransform(rot[k], tra[k])
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                _check_rigid_stack(rot[k:], tra[k:])
+        else:
+            _check_rigid_stack(rot[k:k + 1], tra[k:k + 1])
+    with pytest.raises(ValueError, match="determinant"):
+        _check_rigid_stack(MIRROR[None], tra[:1])
+
+
+def test_all_collinear_keypoints_give_an_empty_result():
+    t = np.arange(20.0)[:, None]
+    src = t * np.array([1.0, 2.0, 3.0])
+    ones = np.ones(20)
+    cset = CorrespondenceSet.from_arrays(src, src + 4.0, ones, ones, ones, 1.0)
+    result = group_ransac(cset, AlgorithmParams(n_ransac=300))
+    assert result.inlier_indices == ()
+    assert result.transform is None
+
+
+def random_set(n, seed=0):
+    rng = np.random.default_rng(seed)
+    src = rng.normal(size=(n, 3)) * 10.0
+    tgt = src + 1.0
+    tgt[n // 2:] = rng.normal(size=(n - n // 2, 3)) * 10.0
+    ones = np.ones(n)
+    return CorrespondenceSet.from_arrays(src, tgt, ones, ones, ones, 0.1)
+
+
+def ransac_peak_bytes(cset):
+    params = AlgorithmParams(n_ransac=200)
+    tracemalloc.start()
+    try:
+        group_ransac(cset, params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ransac_memory_is_bounded():
+    peaks = {n: ransac_peak_bytes(random_set(n)) for n in (1000, 4000)}
+    assert max(peaks.values()) < 8 * 2**20
+    # Beyond the fixed block budget, the peak may grow only by a few (n, 3)
+    # float64 columns.
+    assert peaks[4000] - peaks[1000] < 4 * 24 * (4000 - 1000)

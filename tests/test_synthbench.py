@@ -203,6 +203,19 @@ class TestGenerateCorrespondences:
             CorrespondenceRecipe(n_total=0)
 
 
+# Each recipe field that must be non-negative or positive rejects NaN by
+# name, rather than failing later in generation on non-finite points.
+@pytest.mark.parametrize("recipe, field", [
+    (SceneRecipe, "noise_sigma_pr"),
+    (CorrespondenceRecipe, "inlier_jitter_pr"),
+    (CorrespondenceRecipe, "outlier_min_offset_pr"),
+    (CorrespondenceRecipe, "lrf_noise_deg"),
+])
+def test_recipe_rejects_nan(recipe, field):
+    with pytest.raises(ValueError, match=field):
+        recipe(**{field: float("nan")})
+
+
 def test_random_rotation_is_proper():
     rng = np.random.default_rng(0)
     for _ in range(50):
