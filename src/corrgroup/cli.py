@@ -385,8 +385,6 @@ def cmd_sweep(args) -> int:
         raise ValidationFailure(
             f"conflicting axis flags: {axis_flag} is swept by --axis {args.axis}")
     levels = parse_levels(args.levels)
-    if axis_internal == "n_correspondences" and any(lv != int(lv) for lv in levels):
-        raise ValidationFailure("n-correspondences levels must be integers")
 
     algorithms = _selected_algorithms(args)
     spec, seed = _spec_from_args(args)
@@ -421,6 +419,11 @@ def cmd_bench(args) -> int:
         raise ValidationFailure("--repeats must be >= 1")
     algorithms = _selected_algorithms(args)
     spec, seed = _spec_from_args(args)
+    try:
+        for size in sizes:
+            evaluation._spec_at(spec, "n_correspondences", size)
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from None
     records = evaluation.time_algorithms(sizes, algorithms, spec, repeats, base_seed=seed)
     out_path = Path(_pick(args, "out", "bench.csv"))
     evaluation.write_csv(records, out_path)

@@ -300,7 +300,7 @@ def load_correspondences(path) -> CorrespondenceSet:
     Records are parsed into columns. A fault names the first line that has
     one: line 1 for the header and its pr value, blank lines counted.
     """
-    with open(path, "r", encoding="ascii") as handle:
+    with open(path, "r", encoding="ascii", errors="replace") as handle:
         lines = handle.read().splitlines()
     if not lines:
         raise CorrespondenceFormatError("empty file")
@@ -362,7 +362,7 @@ def save_ground_truth(transform: RigidTransform, path) -> None:
 
 def load_ground_truth(path) -> RigidTransform:
     """Read a 12-number transform sidecar (rotation rows, then translation)."""
-    with open(path, "r", encoding="ascii") as handle:
+    with open(path, "r", encoding="ascii", errors="replace") as handle:
         tokens = handle.read().split()
     if len(tokens) != 12:
         raise CorrespondenceFormatError(

@@ -199,7 +199,28 @@ class SweepPlan:
             raise ValueError("levels must be strictly increasing")
         if self.trials_per_level < 1:
             raise ValueError("trials_per_level must be positive")
+        for level in levels:
+            _spec_at(self.base, self.axis, level)
         object.__setattr__(self, "levels", levels)
+
+
+def _spec_at(spec: InstanceSpec, axis: str, level: float) -> InstanceSpec:
+    """``spec`` with the field that nuisance ``axis`` sweeps set to ``level``.
+
+    The recipe or spec that owns the field validates the level, so a sweep
+    or bench plan can be checked before any set is generated.
+    """
+    if axis == "noise_sigma_pr":
+        return replace(spec, scene=replace(spec.scene, noise_sigma_pr=level))
+    if axis == "downsample_ratio":
+        return replace(spec, scene=replace(spec.scene, downsample_ratio=level))
+    if axis == "inlier_ratio":
+        return replace(spec, corr=replace(spec.corr, inlier_ratio=level))
+    if axis == "n_correspondences":
+        if not float(level).is_integer():
+            raise ValueError(f"n_correspondences levels must be integers, got {level!r}")
+        return replace(spec, corr=replace(spec.corr, n_total=int(level)))
+    return replace(spec, epsilon_pr=level)  # the epsilon_pr axis
 
 
 @lru_cache(maxsize=8)
@@ -219,16 +240,9 @@ def _build_instance(spec: InstanceSpec, axis: str, level: float, seeds: tuple[in
     of :func:`_trial_seeds`; ``level`` sets the nuisance ``axis``.
     """
     rot_seed, scene_seed, corr_seed, algo_seed = seeds
+    spec = _spec_at(spec, axis, level)
     scene_recipe = replace(spec.scene, rotation_seed=rot_seed, rng_seed=scene_seed)
     corr_recipe = replace(spec.corr, rng_seed=corr_seed)
-    if axis == "noise_sigma_pr":
-        scene_recipe = replace(scene_recipe, noise_sigma_pr=level)
-    elif axis == "downsample_ratio":
-        scene_recipe = replace(scene_recipe, downsample_ratio=level)
-    elif axis == "inlier_ratio":
-        corr_recipe = replace(corr_recipe, inlier_ratio=level)
-    elif axis == "n_correspondences":
-        corr_recipe = replace(corr_recipe, n_total=int(level))
     model = _cached_model(spec.model_kind, spec.model_points, spec.model_seed)
     scene, ground_truth = generate_scene(model, scene_recipe)
     cset = generate_correspondences(model, scene, ground_truth, corr_recipe)
@@ -308,6 +322,9 @@ def time_algorithms(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    sizes = tuple(sizes)
+    for size in sizes:
+        _spec_at(spec, "n_correspondences", size)
     algorithms = tuple(algorithms)
     records = []
     for size_idx, size in enumerate(sizes):

@@ -22,9 +22,8 @@ Algorithms:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +53,7 @@ class NonConvergenceError(ArithmeticError):
 class AlgorithmParams:
     """Tuning knobs for all seven algorithms.
 
-    ``t_ss=None`` selects the adaptive similarity cutoff. The JSON form is
-    a flat object with exactly these field names.
+    ``t_ss=None`` selects the adaptive similarity cutoff.
     """
 
     t_ss: float | None = None
@@ -86,26 +84,6 @@ class AlgorithmParams:
                 raise ValueError(f"{name} must be a positive integer")
         if type(self.rng_seed) is not int or not (0 <= self.rng_seed < 2**64):
             raise ValueError("rng_seed must be an unsigned 64-bit integer")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AlgorithmParams":
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AlgorithmParams":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("parameters JSON must be a flat object")
-        return cls.from_dict(data)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,14 +15,10 @@ import numpy as np
 from .geom3d import PointCloud
 
 _SCALAR_TYPES = {
-    "char": ("b", 1), "int8": ("b", 1),
-    "uchar": ("B", 1), "uint8": ("B", 1),
-    "short": ("h", 2), "int16": ("h", 2),
-    "ushort": ("H", 2), "uint16": ("H", 2),
-    "int": ("i", 4), "int32": ("i", 4),
-    "uint": ("I", 4), "uint32": ("I", 4),
-    "float": ("f", 4), "float32": ("f", 4),
-    "double": ("d", 8), "float64": ("d", 8),
+    "char": "b", "int8": "b", "uchar": "B", "uint8": "B",
+    "short": "h", "int16": "h", "ushort": "H", "uint16": "H",
+    "int": "i", "int32": "i", "uint": "I", "uint32": "I",
+    "float": "f", "float32": "f", "double": "d", "float64": "d",
 }
 _FLOAT_TYPES = {"float", "float32", "double", "float64"}
 
@@ -32,41 +28,48 @@ class PlyFormatError(ValueError):
 
 
 def _parse_header(handle) -> tuple[str, list[tuple[str, int, list[tuple[str, str]]]]]:
-    """Return (format, elements) where each element is (name, count, props)."""
+    """Return (format, elements) where each element is (name, count, props).
+
+    A fault names its header line, the magic line being line 1.
+    """
     line = handle.readline().decode("ascii", "replace").strip()
     if line != "ply":
         raise PlyFormatError("missing 'ply' magic line")
     fmt = None
     elements: list[tuple[str, int, list[tuple[str, str]]]] = []
-    while True:
-        raw = handle.readline()
-        if not raw:
-            raise PlyFormatError("unexpected end of header")
+    for lineno, raw in enumerate(iter(handle.readline, b""), start=2):
         line = raw.decode("ascii", "replace").strip()
         if not line or line.startswith("comment") or line.startswith("obj_info"):
             continue
         fields = line.split()
         if fields[0] == "format":
             if len(fields) < 2 or fields[1] not in ("ascii", "binary_little_endian"):
-                raise PlyFormatError(f"unsupported PLY format: {line}")
+                raise PlyFormatError(f"header line {lineno}: unsupported PLY format: {line}")
             fmt = fields[1]
         elif fields[0] == "element":
             if len(fields) != 3:
-                raise PlyFormatError(f"malformed element line: {line}")
+                raise PlyFormatError(f"header line {lineno}: malformed element line: {line}")
+            if not fields[2].isdigit():
+                raise PlyFormatError(
+                    f"header line {lineno}: element count must be a non-negative integer: {line}")
             elements.append((fields[1], int(fields[2]), []))
         elif fields[0] == "property":
             if not elements:
-                raise PlyFormatError("property before any element")
-            if fields[1] == "list":
-                elements[-1][2].append(("list", " ".join(fields[2:])))
-            else:
-                if len(fields) != 3:
-                    raise PlyFormatError(f"malformed property line: {line}")
-                elements[-1][2].append((fields[1], fields[2]))
+                raise PlyFormatError(f"header line {lineno}: property before any element")
+            is_list = len(fields) > 1 and fields[1] == "list"
+            if len(fields) != (5 if is_list else 3):
+                raise PlyFormatError(f"header line {lineno}: malformed property line: {line}")
+            name, _, props = elements[-1]
+            if any(fields[-1] == other for _, other in props):
+                raise PlyFormatError(
+                    f"header line {lineno}: duplicate property '{fields[-1]}' in element '{name}'")
+            props.append((fields[1], fields[-1]))
         elif fields[0] == "end_header":
             break
         else:
-            raise PlyFormatError(f"unrecognized header line: {line}")
+            raise PlyFormatError(f"header line {lineno}: unrecognized header line: {line}")
+    else:
+        raise PlyFormatError("unexpected end of header")
     if fmt is None:
         raise PlyFormatError("header has no format line")
     if not elements:
@@ -74,83 +77,86 @@ def _parse_header(handle) -> tuple[str, list[tuple[str, int, list[tuple[str, str
     return fmt, elements
 
 
-def _vertex_layout(props: list[tuple[str, str]]) -> tuple[int, int, int]:
+def _record_dtype(props: list[tuple[str, str]]) -> np.dtype:
+    """The fixed-size little-endian binary record of an element."""
+    try:
+        formats = ["<" + _SCALAR_TYPES[ptype] for ptype, _ in props]
+    except KeyError as exc:
+        raise PlyFormatError(f"unknown property type {exc.args[0]}") from None
+    return np.dtype({"names": [f"p{i}" for i in range(len(props))], "formats": formats})
+
+
+def _xyz_columns(props: list[tuple[str, str]]) -> tuple[int, int, int]:
     names = [name for _, name in props]
     for axis in ("x", "y", "z"):
         if axis not in names:
             raise PlyFormatError(f"vertex element lacks property '{axis}'")
-    for ptype, name in props:
-        if name in ("x", "y", "z") and ptype not in _FLOAT_TYPES:
-            raise PlyFormatError(f"vertex property '{name}' must be a float type, got {ptype}")
+        ptype = props[names.index(axis)][0]
+        if ptype not in _FLOAT_TYPES:
+            raise PlyFormatError(f"vertex property '{axis}' must be a float type, got {ptype}")
     return names.index("x"), names.index("y"), names.index("z")
 
 
+def _parse_vertex_rows(rows: list[str], count: int, n_props: int, axes: tuple[int, int, int]) -> np.ndarray:
+    """The x/y/z columns of ASCII vertex rows; a fault names its row."""
+    if len(rows) < count:
+        raise PlyFormatError(f"vertex element truncated at row {len(rows)}")
+    ix, iy, iz = axes
+    points = []
+    for line in rows:
+        fields = line.split()
+        # len(points) is the row number, so a good file pays for no counter.
+        if len(fields) < n_props:
+            raise PlyFormatError(f"vertex row {len(points)} has {len(fields)} fields, expected {n_props}")
+        try:
+            points.append((float(fields[ix]), float(fields[iy]), float(fields[iz])))
+        except ValueError:
+            raise PlyFormatError(f"vertex row {len(points)} has a non-numeric coordinate") from None
+    return np.array(points, dtype=np.float64).reshape(count, 3)
+
+
 def load_ply(path) -> PointCloud:
-    """Read the vertex element of a PLY file into a point cloud."""
+    """Read the vertex element of a PLY file into a point cloud.
+
+    One walk skips the elements before the vertex element, ASCII by line
+    and binary by its fixed record size, so binary reads only the vertex
+    block. Every malformed file raises :class:`PlyFormatError`, naming the
+    header line or the vertex row at fault.
+    """
     with open(path, "rb") as handle:
         fmt, elements = _parse_header(handle)
         names = [name for name, _, _ in elements]
         if "vertex" not in names:
             raise PlyFormatError("no vertex element")
-        if fmt == "ascii":
-            return _load_ascii(handle, elements)
-        return _load_binary_le(handle, elements)
-
-
-def _load_ascii(handle, elements) -> PointCloud:
-    text = handle.read().decode("ascii", "replace")
-    lines = iter(text.splitlines())
-    for name, count, props in elements:
-        if name != "vertex":
-            for _ in range(count):
-                next(lines, None)
-            continue
+        vertex_at = names.index("vertex")
+        binary = fmt == "binary_little_endian"
+        lines = None if binary else handle.read().decode("ascii", "replace").splitlines()
+        skipped_rows = 0
+        for _, count, props in elements[:vertex_at]:
+            if not binary:
+                skipped_rows += count
+            elif any(ptype == "list" for ptype, _ in props):
+                raise PlyFormatError("cannot skip list-typed elements preceding vertices")
+            else:
+                handle.seek(count * _record_dtype(props).itemsize, 1)
+        _, count, props = elements[vertex_at]
         if any(ptype == "list" for ptype, _ in props):
             raise PlyFormatError("list properties in the vertex element are unsupported")
-        ix, iy, iz = _vertex_layout(props)
-        pts = np.empty((count, 3), dtype=np.float64)
-        for row in range(count):
-            line = next(lines, None)
-            if line is None:
-                raise PlyFormatError(f"vertex element truncated at row {row}")
-            fields = line.split()
-            if len(fields) < len(props):
-                raise PlyFormatError(f"vertex row {row} has {len(fields)} fields, expected {len(props)}")
-            pts[row] = (float(fields[ix]), float(fields[iy]), float(fields[iz]))
-        return PointCloud(pts)
-    raise PlyFormatError("no vertex element")
-
-
-def _load_binary_le(handle, elements) -> PointCloud:
-    for name, count, props in elements:
-        if any(ptype == "list" for ptype, _ in props):
-            if name == "vertex":
-                raise PlyFormatError("list properties in the vertex element are unsupported")
-            raise PlyFormatError("cannot skip list-typed elements preceding vertices")
-        try:
-            codes = [_SCALAR_TYPES[ptype] for ptype, _ in props]
-        except KeyError as exc:
-            raise PlyFormatError(f"unknown property type {exc.args[0]}") from None
-        stride = sum(size for _, size in codes)
-        if name != "vertex":
-            handle.seek(count * stride, 1)
-            continue
-        ix, iy, iz = _vertex_layout(props)
-        blob = handle.read(count * stride)
-        if len(blob) != count * stride:
-            raise PlyFormatError("binary vertex data truncated")
-        dtype = np.dtype({
-            "names": [f"p{i}" for i in range(len(props))],
-            "formats": ["<" + code for code, _ in codes],
-        })
-        table = np.frombuffer(blob, dtype=dtype, count=count)
-        pts = np.column_stack([
-            table[f"p{ix}"].astype(np.float64),
-            table[f"p{iy}"].astype(np.float64),
-            table[f"p{iz}"].astype(np.float64),
-        ])
-        return PointCloud(pts)
-    raise PlyFormatError("no vertex element")
+        axes = _xyz_columns(props)
+        if binary:
+            dtype = _record_dtype(props)
+            blob = handle.read(count * dtype.itemsize)
+            if len(blob) != count * dtype.itemsize:
+                raise PlyFormatError("binary vertex data truncated")
+            table = np.frombuffer(blob, dtype=dtype, count=count)
+            points = np.column_stack([table[f"p{i}"].astype(np.float64) for i in axes])
+        else:
+            points = _parse_vertex_rows(lines[skipped_rows:skipped_rows + count], count, len(props), axes)
+    try:
+        return PointCloud(points)
+    except ValueError:  # the only fault an (n, 3) float array can have
+        row = int(np.argmin(np.isfinite(points).all(axis=1)))
+        raise PlyFormatError(f"vertex row {row} has a non-finite coordinate") from None
 
 
 def save_ply(cloud: PointCloud, path, *, binary: bool = False) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,13 +50,6 @@ class SceneRecipe:
             raise ValueError("noise_sigma_pr must be >= 0")
         if not (0.0 < self.downsample_ratio <= 1.0):
             raise ValueError("downsample_ratio must be in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SceneRecipe":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -105,19 +98,6 @@ class CorrespondenceRecipe:
                 "outliers may be judged as inliers",
                 stacklevel=2,
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorrespondenceRecipe":
-        data = dict(data)
-        model = data.pop("similarity_model", None)
-        if isinstance(model, dict):
-            data["similarity_model"] = SimilarityModel(**model)
-        elif model is not None:
-            data["similarity_model"] = model
-        return cls(**data)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -1,14 +1,37 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from corrgroup import load_correspondences, load_ground_truth, load_ply, records_from_csv
+from corrgroup import (
+    AlgorithmParams,
+    GroupingResult,
+    evaluation,
+    load_correspondences,
+    load_ground_truth,
+    load_ply,
+    records_from_csv,
+)
 from corrgroup.cli import ValidationFailure, main, parse_levels
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def generated_sets(monkeypatch):
+    """Counts the correspondence sets the harness generates."""
+    calls = []
+    generate = evaluation.generate_correspondences
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "generate_correspondences", counting)
+    return calls
 
 
 @pytest.fixture
@@ -204,6 +227,18 @@ class TestSweep:
         rows = json.loads(out_json.read_text())
         assert len(rows) == 2 and rows[0]["algorithm"] == "ss"
 
+    @pytest.mark.parametrize("axis, levels, fault", [
+        ("inlier-ratio", "0.5,1.5", "inlier_ratio must be in [0, 1]"),
+        ("n-correspondences", "40,60.5", "levels must be integers"),
+    ])
+    def test_bad_level_exit_2_before_any_set(self, tmp_path, capsys, generated_sets, axis, levels, fault):
+        code = run_cli(
+            "sweep", "--axis", axis, "--levels", levels, "--algo", "ss",
+            "--model-points", "1200", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert fault in capsys.readouterr().err
+        assert generated_sets == []
+
     def test_bad_threads_env_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CORRGROUP_THREADS", "many")
         code = run_cli(
@@ -242,6 +277,13 @@ class TestBench:
 
     def test_bad_sizes_exit_2(self, tmp_path):
         assert run_cli("bench", "--sizes", "x,y", "--out", str(tmp_path / "b.csv")) == 2
+
+    def test_zero_size_exit_2_before_any_set(self, tmp_path, capsys, generated_sets):
+        code = run_cli("bench", "--sizes", "40,0", "--algo", "ss",
+                       "--model-points", "1200", "--out", str(tmp_path / "b.csv"))
+        assert code == 2
+        assert "n_total must be positive" in capsys.readouterr().err
+        assert generated_sets == []
 
 
 class TestConfig:
@@ -290,6 +332,21 @@ class TestConfig:
         assert code == 2
         assert repr(next(iter(values))) in capsys.readouterr().err
         assert not (tmp_path / "synth_corrs.txt").exists()
+
+    def test_group_config_keys_are_the_param_fields(self, tmp_path, monkeypatch, synth_files):
+        data = {"t_ss": 0.7, "t_nnsr": 0.6, "n_ransac": 50, "d_ransac_pr": 4.0, "t_st": 0.5,
+                "t_gc_pr": 2.0, "hough_bin_pr": 6.0, "si_kappa": 30, "si_sigma": 0.8,
+                "si_delta_pr": 4.5, "rng_seed": 7}
+        assert set(data) == {field.name for field in fields(AlgorithmParams)}
+        seen = []
+        monkeypatch.setattr(evaluation, "run_algorithm",
+                            lambda name, cset, params, source_cloud=None: seen.append(params) or GroupingResult(()))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        code = run_cli("--config", str(config), "group", "--in", str(synth_files["corrs"]),
+                       "--algo", "ss", "--out", str(tmp_path / "ss.txt"))
+        assert code == 0
+        assert seen == [AlgorithmParams(**data)]
 
     def test_config_algo_takes_a_list_of_choices(self, tmp_path, capsys):
         config = tmp_path / "config.json"

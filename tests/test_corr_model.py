@@ -202,6 +202,13 @@ class TestFileRoundTrip:
         with pytest.raises(CorrespondenceFormatError, match="line 2"):
             load_correspondences(path)
 
+    def test_non_ascii_bytes_name_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"#corrgroup v1 n=2 pr=1\n0 0 0 1 1 1 0.9 0.1 0.5\n"
+                         b"0 0 0 1 1 1 0.9 0.1 0.5\xc3\xa9\n")
+        with pytest.raises(CorrespondenceFormatError, match="line 3: non-numeric"):
+            load_correspondences(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0 0 1 1 1 0.9 0.1 0.5\n")
@@ -229,6 +236,12 @@ class TestGroundTruthSidecar:
         path = tmp_path / "gt.txt"
         path.write_text("1 0 0 0 1 0 0 0 1\n")
         with pytest.raises(CorrespondenceFormatError, match="12 numbers"):
+            load_ground_truth(path)
+
+    def test_non_ascii_bytes_rejected(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_bytes(b"1 0 0 0 1 0 0 0 1 0 0 \xc3\xa9\n")
+        with pytest.raises(CorrespondenceFormatError, match="non-numeric"):
             load_ground_truth(path)
 
     def test_non_rotation_rejected(self, tmp_path):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -208,22 +206,6 @@ class TestAlgorithmParams:
         assert params.si_sigma == 0.9
         assert params.si_delta_pr == 5.0
 
-    def test_json_roundtrip(self):
-        params = AlgorithmParams(t_ss=0.7, n_ransac=50, rng_seed=99)
-        again = AlgorithmParams.from_json(params.to_json())
-        assert again == params
-
-    def test_json_field_names(self):
-        data = json.loads(AlgorithmParams().to_json())
-        assert set(data) == {
-            "t_ss", "t_nnsr", "n_ransac", "d_ransac_pr", "t_st", "t_gc_pr",
-            "hough_bin_pr", "si_kappa", "si_sigma", "si_delta_pr", "rng_seed",
-        }
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown parameter keys"):
-            AlgorithmParams.from_json('{"t_ss": 0.5, "bogus": 1}')
-
     @pytest.mark.parametrize("bad", [
         {"t_nnsr": 1.5}, {"t_st": -0.1}, {"si_sigma": 2.0},
         {"n_ransac": 0}, {"si_kappa": 0}, {"d_ransac_pr": 0.0},
@@ -235,9 +217,9 @@ class TestAlgorithmParams:
             AlgorithmParams(**bad)
 
     @pytest.mark.parametrize("field", ["n_ransac", "si_kappa", "rng_seed"])
-    def test_json_booleans_rejected(self, field):
+    def test_booleans_rejected(self, field):
         with pytest.raises(ValueError, match=field):
-            AlgorithmParams.from_json(json.dumps({field: True}))
+            AlgorithmParams(**{field: True})
 
 
 class TestGroupingResult:

@@ -120,3 +120,49 @@ def test_rejects_truncated_ascii(tmp_path):
     )
     with pytest.raises(PlyFormatError, match="truncated"):
         load_ply(path)
+
+
+VERTEX_HEADER = (
+    "ply\nformat {fmt} 1.0\nelement vertex {count}\n"
+    "property double x\nproperty double y\nproperty double z\n{extra}end_header\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+@pytest.mark.parametrize("count", ["two", "-1"])
+def test_bad_element_count_names_header_line(tmp_path, fmt, count):
+    path = tmp_path / "count.ply"
+    path.write_text(VERTEX_HEADER.format(fmt=fmt, count=count, extra=""))
+    with pytest.raises(PlyFormatError, match="header line 3: element count"):
+        load_ply(path)
+
+
+@pytest.mark.parametrize("extra, fault", [
+    ("property float x\n", "duplicate property 'x'"),
+    ("property\n", "malformed property line"),
+])
+def test_bad_property_line_names_header_line(tmp_path, extra, fault):
+    path = tmp_path / "prop.ply"
+    path.write_text(VERTEX_HEADER.format(fmt="ascii", count=1, extra=extra) + "1 2 3 4\n")
+    with pytest.raises(PlyFormatError, match=f"header line 7: {fault}"):
+        load_ply(path)
+
+
+def test_non_numeric_coordinate_names_vertex_row(tmp_path):
+    path = tmp_path / "text.ply"
+    path.write_text(VERTEX_HEADER.format(fmt="ascii", count=2, extra="") + "1 2 3\n4 five 6\n")
+    with pytest.raises(PlyFormatError, match="vertex row 1 has a non-numeric coordinate"):
+        load_ply(path)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_non_finite_coordinate_names_vertex_row(tmp_path, binary):
+    path = tmp_path / "inf.ply"
+    header = VERTEX_HEADER.format(fmt="binary_little_endian" if binary else "ascii", count=3, extra="")
+    rows = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, float("inf"), 9.0)]
+    if binary:
+        path.write_bytes(header.encode() + struct.pack("<9d", *(v for row in rows for v in row)))
+    else:
+        path.write_text(header + "".join("%r %r %r\n" % row for row in rows))
+    with pytest.raises(PlyFormatError, match="vertex row 2 has a non-finite coordinate"):
+        load_ply(path)

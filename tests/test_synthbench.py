@@ -222,17 +222,3 @@ def test_random_rotation_is_proper():
         q = random_rotation(rng)
         assert np.abs(q.T @ q - np.eye(3)).max() < 1e-12
         assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_recipes_serialize_to_json():
-    import json
-
-    scene = SceneRecipe(rotation_seed=3, noise_sigma_pr=0.2, downsample_ratio=0.7, rng_seed=4)
-    assert SceneRecipe.from_dict(json.loads(json.dumps(scene.to_dict()))) == scene
-
-    corr = CorrespondenceRecipe(
-        n_total=200, inlier_ratio=0.4, inlier_jitter_pr=0.5,
-        outlier_min_offset_pr=9.0, lrf_noise_deg=2.0,
-        similarity_model=SimilarityModel(0.8, 0.9, 0.1, 0.3), rng_seed=5)
-    again = CorrespondenceRecipe.from_dict(json.loads(json.dumps(corr.to_dict())))
-    assert again == corr
