@@ -23,10 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import evaluation, ply
 from .corr_model import (
@@ -38,13 +35,11 @@ from .corr_model import (
 )
 from .grouping import ALGORITHM_NAMES, AlgorithmParams
 from .synthbench import (
+    DEFAULT_EPSILON_PR,
     MODEL_KINDS,
     CorrespondenceRecipe,
     SceneRecipe,
     SimilarityModel,
-    generate_correspondences,
-    generate_scene,
-    make_test_model,
 )
 
 AXIS_FLAGS = {
@@ -70,6 +65,8 @@ def parse_levels(spec: str) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise ValueError("range syntax is start:end:step")
             start, end, step = (float(p) for p in parts)
+            if not all(map(math.isfinite, (start, end, step))):
+                raise ValueError("range bounds and step must be finite")
             if step <= 0 or end < start:
                 raise ValueError("range needs end >= start and step > 0")
             count = int(math.floor((end - start) / step + 1e-9)) + 1
@@ -158,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_algo_selection(group)
     group.add_argument("--gt", default=None, help="ground-truth sidecar for judging")
     group.add_argument("--epsilon-pr", dest="epsilon_pr", type=float, default=None,
-                       help="judging tolerance in resolutions (default 4)")
+                       help=f"judging tolerance in resolutions (default {DEFAULT_EPSILON_PR:g})")
     group.add_argument("--model", dest="model_ply", default=None,
                        help="source cloud PLY (reference centroid for Hough voting)")
     group.add_argument("--out", default=None, help="write inlier indices here")
@@ -178,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(sweep, _DATA_FLAGS)
     _add_flags(sweep, _PARAM_FLAGS)
     sweep.add_argument("--epsilon-pr", dest="epsilon_pr", type=float, default=None,
-                       help="judging tolerance in resolutions (default 4)")
+                       help=f"judging tolerance in resolutions (default {DEFAULT_EPSILON_PR:g})")
     sweep.add_argument("--out", default=None, help="CSV output path (default sweep.csv)")
     sweep.add_argument("--json", dest="json_out", default=None, help="also write records as JSON")
     sweep.add_argument("--svg", default=None,
@@ -307,17 +304,11 @@ def _worker_count() -> int:
 
 def cmd_synth(args) -> int:
     spec, seed = _spec_from_args(args)
-    seeds = np.random.SeedSequence(entropy=seed, spawn_key=(0,)).generate_state(3, dtype=np.uint64)
-    scene_recipe = replace(spec.scene, rotation_seed=int(seeds[0]), rng_seed=int(seeds[1]))
-    corr_recipe = replace(spec.corr, rng_seed=int(seeds[2]))
-
     out_dir = Path(_pick(args, "out_dir", "."))
     prefix = _pick(args, "prefix", "synth")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    model = make_test_model(spec.model_kind, spec.model_points, spec.model_seed)
-    scene, ground_truth = generate_scene(model, scene_recipe)
-    cset = generate_correspondences(model, scene, ground_truth, corr_recipe)
+    _, scene, cset, _ = evaluation._build_instance(spec, evaluation._trial_seeds(seed, 0))
     if args.no_lrfs:
         cset = strip_lrfs(cset)
 
@@ -326,10 +317,9 @@ def cmd_synth(args) -> int:
     gt_path = out_dir / f"{prefix}_gt.txt"
     ply.save_ply(scene, scene_path)
     save_correspondences(cset, corr_path)
-    save_ground_truth(ground_truth, gt_path)
+    save_ground_truth(cset.ground_truth, gt_path)
 
-    true_inliers = int(math.floor(corr_recipe.inlier_ratio * corr_recipe.n_total + 0.5))
-    print(f"n={len(cset)} pr={cset.source_resolution_pr:.6g} true_inliers={true_inliers}")
+    print(f"n={len(cset)} pr={cset.source_resolution_pr:.6g} true_inliers={spec.corr.n_inliers}")
     print(f"scene={scene_path} correspondences={corr_path} ground_truth={gt_path}")
     return 0
 
@@ -337,7 +327,7 @@ def cmd_synth(args) -> int:
 def cmd_group(args) -> int:
     algorithms = _selected_algorithms(args)
     params = _params_from_args(args)
-    epsilon_pr = _pick(args, "epsilon_pr", 4.0)
+    epsilon_pr = _pick(args, "epsilon_pr", DEFAULT_EPSILON_PR)
     if not (epsilon_pr > 0):
         raise ValidationFailure("--epsilon-pr must be positive")
 

@@ -238,13 +238,17 @@ def pairwise_lengths(source_points: np.ndarray, target_points: np.ndarray) -> tu
 def _rigidity_from_lengths(d_s: np.ndarray, d_t: np.ndarray) -> np.ndarray:
     """min(d_s/d_t, d_t/d_s) per pair, 0 where either length is 0.
 
-    Built in a single output array so the peak stays at four n x n
-    matrices: d_s, d_t, the output and one quotient.
+    Computed as min(d_s, d_t) / max(d_s, d_t) with the same bits: a
+    correctly rounded a/b is at most 1 when a <= b and at least 1 when
+    a >= b. A zero min gives 0 already, so only a zero max needs fixing.
+    The peak is four n x n matrices (d_s, d_t, the max and the output)
+    and the boolean mask of zero maxima.
     """
+    longer = np.maximum(d_s, d_t)
+    scores = np.minimum(d_s, d_t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = d_s / d_t
-        np.minimum(scores, d_t / d_s, out=scores)
-    scores[(d_s == 0.0) | (d_t == 0.0)] = 0.0
+        np.divide(scores, longer, out=scores)
+    scores[longer == 0.0] = 0.0
     return scores
 
 
@@ -268,12 +272,16 @@ def pairwise_distance_residuals(source_points: np.ndarray, target_points: np.nda
 #   px py pz qx qy qz similarity nn d2nn [9 source-frame reals 9 target-frame reals]
 # preceded by the header line
 #   #corrgroup v1 n=<count> pr=<value>
-# The 18-value frame block is optional but must be present on either all
-# records or none, and pr must be finite and positive. The ground-truth
-# transform lives in a separate sidecar of 12 numbers: the rotation rows,
-# then the translation.
+# A record is one row of each column of the set in _COLUMN_SHAPES order,
+# flattened. The frame block, the last two columns, is optional but must be
+# present on either all records or none, and pr must be finite and positive.
+# The ground-truth transform lives in a separate sidecar of 12 numbers: the
+# rotation rows, then the translation.
 
 _HEADER_RE = re.compile(r"^#corrgroup v1 n=(\d+) pr=([^ ]+)$")
+# The field after the last of each column.
+_V1_ENDS = np.cumsum([math.prod(shape) for shape in _COLUMN_SHAPES.values()])
+_V1_WIDTHS = (int(_V1_ENDS[-3]), int(_V1_ENDS[-1]))  # without, with frames
 
 
 def _fmt(x: float) -> str:
@@ -282,11 +290,8 @@ def _fmt(x: float) -> str:
 
 def save_correspondences(cset: CorrespondenceSet, path) -> None:
     """Write a correspondence set in the v1 text format."""
-    columns = [cset.source_points, cset.target_points, cset.similarities[:, None],
-               cset.nn_distances[:, None], cset.second_nn_distances[:, None]]
-    if cset.has_lrfs:
-        columns += [cset.source_frames.reshape(-1, 9), cset.target_frames.reshape(-1, 9)]
-    table = np.hstack(columns)
+    table = np.hstack([getattr(cset, name).reshape(len(cset), math.prod(shape))
+                       for name, shape in _COLUMN_SHAPES.items() if getattr(cset, name) is not None])
     record = " ".join(["%.17g"] * table.shape[1])
     lines = [f"#corrgroup v1 n={len(cset)} pr={_fmt(cset.source_resolution_pr)}"]
     lines += [record % tuple(row) for row in table.tolist()]
@@ -320,8 +325,8 @@ def load_correspondences(path) -> CorrespondenceSet:
         tokens = line.split()
         if not tokens:
             continue
-        if len(tokens) not in (9, 27):
-            fault = f"line {lineno}: expected 9 or 27 fields, got {len(tokens)}"
+        if len(tokens) not in _V1_WIDTHS:
+            fault = f"line {lineno}: expected {_V1_WIDTHS[0]} or {_V1_WIDTHS[1]} fields, got {len(tokens)}"
         elif records and len(tokens) != len(records[0]):
             fault = f"line {lineno}: only some records carry frames"
         else:
@@ -332,14 +337,12 @@ def load_correspondences(path) -> CorrespondenceSet:
         if fault:
             break
         linenos.append(lineno)
-    table = np.array(records, dtype=np.float64).reshape(len(records), -1 if records else 9)
-    frames = table.shape[1] == 27
+    table = np.array(records, dtype=np.float64).reshape(len(records), -1 if records else _V1_WIDTHS[0])
+    parts = np.split(table, _V1_ENDS[:-1], axis=1)
+    columns = {name: part.reshape(len(table), *shape)
+               for (name, shape), part in zip(_COLUMN_SHAPES.items(), parts) if part.shape[1]}
     try:
-        cset = CorrespondenceSet.from_arrays(
-            table[:, 0:3], table[:, 3:6], table[:, 6], table[:, 7], table[:, 8], resolution,
-            source_frames=table[:, 9:18].reshape(-1, 3, 3) if frames else None,
-            target_frames=table[:, 18:27].reshape(-1, 3, 3) if frames else None,
-        )
+        cset = CorrespondenceSet.from_arrays(source_resolution_pr=resolution, **columns)
     except _ColumnError as exc:
         line = 1 if exc.row is None else linenos[exc.row]
         raise CorrespondenceFormatError(f"line {line}: {exc.reason}") from None

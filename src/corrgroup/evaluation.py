@@ -42,7 +42,8 @@ from .grouping import (
     group_ss,
     group_st,
 )
-from .synthbench import CorrespondenceRecipe, SceneRecipe, generate_correspondences, generate_scene, make_test_model
+from .synthbench import DEFAULT_EPSILON_PR, CorrespondenceRecipe, SceneRecipe
+from .synthbench import generate_correspondences, generate_scene, make_test_model
 
 SWEEP_AXES = (
     "noise_sigma_pr",
@@ -52,11 +53,14 @@ SWEEP_AXES = (
     "n_correspondences",
 )
 
-CSV_COLUMNS = (
-    "algorithm", "axis", "level", "trial",
-    "n_initial", "n_grouped", "n_correct", "n_gt",
-    "precision", "recall", "wall_time_ns",
+# The record schema: each column's name, its type, and whether its value
+# may be undefined (None in a typed row, an empty CSV field, JSON null).
+_SCHEMA = (
+    ("algorithm", str, False), ("axis", str, False), ("level", float, True), ("trial", int, True),
+    ("n_initial", int, False), ("n_grouped", int, False), ("n_correct", int, False), ("n_gt", int, False),
+    ("precision", float, True), ("recall", float, True), ("wall_time_ns", int, False),
 )
+CSV_COLUMNS, _COLUMN_TYPES, _OPTIONAL = zip(*_SCHEMA)
 
 
 def judge(c: Correspondence, ground_truth: RigidTransform, epsilon: float) -> bool:
@@ -107,7 +111,7 @@ class EvaluationRecord:
 def score(
     result: GroupingResult,
     cset: CorrespondenceSet,
-    epsilon_pr: float = 4.0,
+    epsilon_pr: float = DEFAULT_EPSILON_PR,
     *,
     algorithm: str = "",
     params: AlgorithmParams | None = None,
@@ -172,7 +176,7 @@ class InstanceSpec:
     scene: SceneRecipe = field(default_factory=SceneRecipe)
     corr: CorrespondenceRecipe = field(default_factory=CorrespondenceRecipe)
     params: AlgorithmParams = field(default_factory=AlgorithmParams)
-    epsilon_pr: float = 4.0
+    epsilon_pr: float = DEFAULT_EPSILON_PR
 
     def __post_init__(self):
         if not (self.epsilon_pr > 0):
@@ -228,26 +232,22 @@ def _cached_model(kind: str, n_points: int, seed: int) -> PointCloud:
     return make_test_model(kind, n_points, seed)
 
 
-def _trial_seeds(base_seed: int, level_idx: int, trial: int) -> tuple[int, int, int, int]:
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(level_idx, trial))
+def _trial_seeds(base_seed: int, *spawn_key: int) -> tuple[int, int, int, int]:
+    """Rotation, scene, correspondence and algorithm seeds of the instance at ``spawn_key``."""
+    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=spawn_key)
     return tuple(int(s) for s in seq.generate_state(4, dtype=np.uint64))
 
 
-def _build_instance(spec: InstanceSpec, axis: str, level: float, seeds: tuple[int, int, int, int]):
-    """Model, correspondence set, and params for one sweep cell or bench repeat.
-
-    ``seeds`` are the rotation, scene, correspondence and algorithm seeds
-    of :func:`_trial_seeds`; ``level`` sets the nuisance ``axis``.
-    """
+def _build_instance(spec: InstanceSpec, seeds: tuple[int, int, int, int]):
+    """Model, scene, correspondence set, and params of ``spec`` at the :func:`_trial_seeds` ``seeds``."""
     rot_seed, scene_seed, corr_seed, algo_seed = seeds
-    spec = _spec_at(spec, axis, level)
     scene_recipe = replace(spec.scene, rotation_seed=rot_seed, rng_seed=scene_seed)
     corr_recipe = replace(spec.corr, rng_seed=corr_seed)
     model = _cached_model(spec.model_kind, spec.model_points, spec.model_seed)
     scene, ground_truth = generate_scene(model, scene_recipe)
     cset = generate_correspondences(model, scene, ground_truth, corr_recipe)
     params = replace(spec.params, rng_seed=algo_seed)
-    return model, cset, params
+    return model, scene, cset, params
 
 
 def _run_cell(plan: SweepPlan, algorithms: tuple[str, ...], level_idx: int,
@@ -258,8 +258,8 @@ def _run_cell(plan: SweepPlan, algorithms: tuple[str, ...], level_idx: int,
     level = plan.levels[level_idx]
     on_epsilon = plan.axis == "epsilon_pr"
     try:
-        model, cset, params = _build_instance(
-            plan.base, plan.axis, level, _trial_seeds(plan.base_seed, level_idx, trial))
+        model, _, cset, params = _build_instance(
+            _spec_at(plan.base, plan.axis, level), _trial_seeds(plan.base_seed, level_idx, trial))
         results = {name: run_algorithm(name, cset, params, source_cloud=model)
                    for name in algorithms}
         return [
@@ -322,22 +322,18 @@ def time_algorithms(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    sizes = tuple(sizes)
-    for size in sizes:
-        _spec_at(spec, "n_correspondences", size)
+    specs = [_spec_at(spec, "n_correspondences", size) for size in sizes]
     algorithms = tuple(algorithms)
     records = []
-    for size_idx, size in enumerate(sizes):
-        size = int(size)
-        instances = [
-            _build_instance(spec, "n_correspondences", size, _trial_seeds(base_seed, size_idx, rep))
-            for rep in range(repeats)
-        ]
+    for size_idx, sized in enumerate(specs):
+        size = sized.corr.n_total
+        instances = [_build_instance(sized, _trial_seeds(base_seed, size_idx, rep))
+                     for rep in range(repeats)]
         for name in algorithms:
-            model, cset, params = instances[0]
+            model, _, cset, params = instances[0]
             run_algorithm(name, cset, params, source_cloud=model)  # warm-up
             elapsed = []
-            for model, cset, params in instances:
+            for model, _, cset, params in instances:
                 start = time.perf_counter_ns()
                 result = run_algorithm(name, cset, params, source_cloud=model)
                 elapsed.append(time.perf_counter_ns() - start)
@@ -361,12 +357,6 @@ def time_algorithms(
 # ---------------------------------------------------------------------------
 # CSV / JSON serialization
 # ---------------------------------------------------------------------------
-
-# Each column's type, and whether its value may be undefined: None in a
-# typed row, an empty CSV field, JSON null.
-_COLUMN_TYPES = (str, str, float, int, int, int, int, int, float, float, int)
-_OPTIONAL = (False, False, True, True, False, False, False, False, True, True, False)
-
 
 def _record_values(record: EvaluationRecord) -> tuple:
     """The typed row of a record: its values in CSV_COLUMNS order, None where undefined."""

@@ -161,6 +161,23 @@ def otsu_threshold(values) -> OtsuResult:
     return OtsuResult(float(edges[1 + best]), False)
 
 
+def _check_span(cset: CorrespondenceSet, algorithm: str) -> None:
+    """Raise ValueError when the set's lengths overflow float64 once squared.
+
+    Every segment length and residual that st, gc, si and ransac square is
+    at most twice the diagonal of the box around all source and target
+    points, so this O(n) check on the box stands for the n x n ones.
+    """
+    # One row per axis: numpy reduces a contiguous row much faster than a column.
+    axes = np.vstack([cset.source_points, cset.target_points]).T.copy()
+    with np.errstate(over="ignore"):
+        extent = np.ptp(axes, axis=1)
+        if np.isfinite(np.square(2.0 * extent).sum()):
+            return
+    raise ValueError(f"{algorithm}: point coordinates span {extent.max():g}, so squared "
+                     f"pairwise lengths overflow float64")
+
+
 def _power_iterate(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, bool]:
     """Power iteration from the uniform vector; L2-normalized iterates."""
     n = matrix.shape[0]
@@ -227,6 +244,13 @@ def _lowe_scores(cset: CorrespondenceSet) -> np.ndarray:
     return np.where(d2 > 0.0, 1.0 - cset.nn_distances / safe, 0.0)
 
 
+def _ratio_test(cset: CorrespondenceSet, t_nnsr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lowe scores, and the mask of correspondences that pass the ratio
+    test: a positive second_nn and a score of at least ``t_nnsr``."""
+    scores = _lowe_scores(cset)
+    return scores, (cset.second_nn_distances > 0.0) & (scores >= t_nnsr)
+
+
 def group_nnsr(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult:
     """Lowe ratio test: keep when 1 - nn/second_nn >= t_nnsr.
 
@@ -235,8 +259,8 @@ def group_nnsr(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResu
     """
     if len(cset) == 0:
         return _empty_result()
-    scores = _lowe_scores(cset)
-    keep = np.flatnonzero((cset.second_nn_distances > 0.0) & (scores >= params.t_nnsr))
+    scores, passed = _ratio_test(cset, params.t_nnsr)
+    keep = np.flatnonzero(passed)
     return GroupingResult(tuple(int(i) for i in keep),
                           scores={int(i): float(scores[i]) for i in keep})
 
@@ -265,6 +289,7 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
     n = len(cset)
     if n < 3:
         raise ValueError("too few correspondences")
+    _check_span(cset, "RANSAC")
     src = cset.source_points
     tgt = cset.target_points
     threshold = params.d_ransac_pr * cset.source_resolution_pr
@@ -325,6 +350,7 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
         return _empty_result()
     if n == 1:
         return GroupingResult((0,), scores={0: 1.0})
+    _check_span(cset, "ST")
 
     src = cset.source_points
     tgt = cset.target_points
@@ -368,6 +394,7 @@ def group_gc(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     n = len(cset)
     if n == 0:
         return _empty_result()
+    _check_span(cset, "GC")
     threshold = params.t_gc_pr * cset.source_resolution_pr
     residuals = pairwise_distance_residuals(cset.source_points, cset.target_points)
     compatible = residuals < threshold  # diagonal residual is 0, so seeds self-include
@@ -449,10 +476,10 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
         raise ValueError("LRF required for SI")
     if n == 1:
         return GroupingResult((0,), scores={0: 0.0})
+    _check_span(cset, "SI")
 
     kappa = min(params.si_kappa, n - 1)
-    lowe = _lowe_scores(cset)
-    ratio_pass = (cset.second_nn_distances > 0.0) & (lowe >= params.t_nnsr)
+    lowe, ratio_pass = _ratio_test(cset, params.t_nnsr)
 
     src = cset.source_points
     tgt = cset.target_points

@@ -32,8 +32,8 @@ MODEL_KINDS = ("sphere", "torus", "plane-with-bumps")
 # Support radius used when estimating keypoint frames, in resolution units.
 DEFAULT_LRF_SUPPORT_PR = 15.0
 
-# Judging tolerance the offset recommendation is stated against.
-_DEFAULT_EPSILON_PR = 4.0
+# Default judging tolerance, in resolutions; the outlier offset warning is stated against it.
+DEFAULT_EPSILON_PR = 4.0
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class SceneRecipe:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (self.noise_sigma_pr >= 0):
-            raise ValueError("noise_sigma_pr must be >= 0")
+        if not (0 <= self.noise_sigma_pr < math.inf):
+            raise ValueError("noise_sigma_pr must be finite and >= 0")
         if not (0.0 < self.downsample_ratio <= 1.0):
             raise ValueError("downsample_ratio must be in (0, 1]")
 
@@ -86,18 +86,23 @@ class CorrespondenceRecipe:
             raise ValueError("n_total must be positive")
         if not (0.0 <= self.inlier_ratio <= 1.0):
             raise ValueError("inlier_ratio must be in [0, 1]")
-        if not (self.inlier_jitter_pr >= 0):
-            raise ValueError("inlier_jitter_pr must be >= 0")
-        if not (self.outlier_min_offset_pr > 0):
-            raise ValueError("outlier_min_offset_pr must be positive")
-        if not (self.lrf_noise_deg >= 0):
-            raise ValueError("lrf_noise_deg must be >= 0")
-        if self.outlier_min_offset_pr <= 2.0 * _DEFAULT_EPSILON_PR:
+        if not (0 <= self.inlier_jitter_pr < math.inf):
+            raise ValueError("inlier_jitter_pr must be finite and >= 0")
+        if not (0 < self.outlier_min_offset_pr < math.inf):
+            raise ValueError("outlier_min_offset_pr must be finite and positive")
+        if not (0 <= self.lrf_noise_deg < math.inf):
+            raise ValueError("lrf_noise_deg must be finite and >= 0")
+        if self.outlier_min_offset_pr <= 2.0 * DEFAULT_EPSILON_PR:
             warnings.warn(
                 "outlier_min_offset_pr <= twice the default judging tolerance; "
                 "outliers may be judged as inliers",
                 stacklevel=2,
             )
+
+    @property
+    def n_inliers(self) -> int:
+        """The number of inliers planted: inlier_ratio * n_total, rounded half up."""
+        return int(math.floor(self.inlier_ratio * self.n_total + 0.5))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -204,8 +209,8 @@ def generate_correspondences(
 
     Keypoints are distinct model points whose local frame estimation
     succeeds; locally symmetric neighborhoods (ambiguous frames) are
-    skipped and another point is drawn. The first round(ratio * n) sampled
-    keypoints become inliers. ``scene`` is accepted for signature symmetry
+    skipped and another point is drawn. The first ``recipe.n_inliers``
+    sampled keypoints become inliers. ``scene`` is accepted for signature symmetry
     with :func:`generate_scene`; targets are built from the ground truth.
     """
     del scene
@@ -232,7 +237,7 @@ def generate_correspondences(
             f"only {len(chosen)} of {n_total} keypoints have stable local frames"
         )
 
-    n_inliers = int(math.floor(recipe.inlier_ratio * n_total + 0.5))
+    n_inliers = recipe.n_inliers
     n_outliers = n_total - n_inliers
     source = model.points[np.array(chosen, dtype=np.intp)]
     mapped = ground_truth.apply(source)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import fields
 
@@ -70,6 +71,11 @@ class TestParseLevels:
         with pytest.raises(ValidationFailure):
             parse_levels("5")
 
+    @pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "0:1:inf", "0:nan:1"])
+    def test_rejects_non_finite_range(self, spec):
+        with pytest.raises(ValidationFailure, match="bad --levels value"):
+            parse_levels(spec)
+
 
 class TestSynth:
     def test_writes_files_and_summary(self, tmp_path, capsys):
@@ -108,6 +114,31 @@ class TestSynth:
         assert code == 0
         cset = load_correspondences(tmp_path / "synth_corrs.txt")
         assert not cset.has_lrfs
+
+    # SHA-256 of the three files and the printed lines of two fixed
+    # invocations: torus with frames, and sphere without frames at a planted
+    # count that rounds half up (0.25 * 50 = 12.5 -> 13).
+    @pytest.mark.parametrize("flags, digests", [
+        (["--model-points", "800", "--n", "60", "--inlier-ratio", "0.3", "--seed", "7"], {
+            "scene.ply": "45f366b66d90bb29723eff83a30f5c9018bf834db1d7b5f162c3f8d25459f3e9",
+            "corrs.txt": "9315580c7afda2f5182b5cc336c968525d222a3f02427525de5d578aaa4c9d7d",
+            "gt.txt": "69e669c827606fddda55f22e9ae04b041637209a1a3ea0761ed27c0bc2e1e843",
+            "stdout": "4c3b88186a51d4b1b29eda422ccb5df0db8f3a302dab7486f7a08c865f59e44f",
+        }),
+        (["--model", "sphere", "--model-points", "600", "--n", "50", "--inlier-ratio", "0.25",
+          "--seed", "11", "--no-lrfs"], {
+            "scene.ply": "f776262c6e4352b35c5d28609bff1ef6ad2b0f636c45479fb0d9e8278f95c288",
+            "corrs.txt": "dbf444158bd98e3f0eb1c03e2c2ebe28f4acefe05f27d9b4539eecd180c3b570",
+            "gt.txt": "d49da5fa3999dc8b0d434407ed88b5c994c9bae0bf810c09d286355a428c5707",
+            "stdout": "d7935e81a9c9b7d9c8624936940efb9e330fdc53d47974867dba1ac106b2fe70",
+        }),
+    ], ids=["frames", "no-lrfs"])
+    def test_output_bytes_pinned(self, tmp_path, monkeypatch, capsys, flags, digests):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("synth", *flags, "--out-dir", "out", "--prefix", "t") == 0
+        outputs = {name: (tmp_path / "out" / f"t_{name}").read_bytes() for name in ("scene.ply", "corrs.txt", "gt.txt")}
+        outputs["stdout"] = capsys.readouterr().out.encode()
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == digests
 
 
 class TestGroup:
@@ -235,6 +266,22 @@ class TestSweep:
         code = run_cli(
             "sweep", "--axis", axis, "--levels", levels, "--algo", "ss",
             "--model-points", "1200", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert fault in capsys.readouterr().err
+        assert generated_sets == []
+
+    @pytest.mark.parametrize("argv, fault", [
+        (["--axis", "noise", "--levels", "0,inf"], "noise_sigma_pr must be finite"),
+        (["--axis", "noise", "--levels", "0:inf:1"], "bad --levels value"),
+        (["--axis", "inlier-ratio", "--levels", "0.3,0.7", "--noise-sigma-pr", "inf"], "noise_sigma_pr must be finite"),
+        (["--axis", "inlier-ratio", "--levels", "0.3,0.7", "--jitter-pr", "inf"], "inlier_jitter_pr must be finite"),
+        (["--axis", "inlier-ratio", "--levels", "0.3,0.7", "--outlier-offset-pr", "inf"],
+         "outlier_min_offset_pr must be finite"),
+        (["--axis", "inlier-ratio", "--levels", "0.3,0.7", "--lrf-noise-deg", "inf"], "lrf_noise_deg must be finite"),
+    ], ids=["noise-level", "level-range", "noise", "jitter", "offset", "lrf-noise"])
+    def test_non_finite_input_exit_2_before_any_set(self, tmp_path, capsys, generated_sets, argv, fault):
+        code = run_cli("sweep", *argv, "--algo", "ss", "--model-points", "1200",
+                       "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert fault in capsys.readouterr().err
         assert generated_sets == []

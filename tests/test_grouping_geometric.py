@@ -465,3 +465,29 @@ class TestSharedProperties:
             result = run_algorithm(name, cset, params, source_cloud=model)
             assert all(0 <= i < len(cset) for i in result.inlier_indices), name
             assert result.inlier_indices == tuple(sorted(set(result.inlier_indices))), name
+
+
+# ---------------------------------------------------------------------------
+# Coordinates whose squared lengths overflow float64
+# ---------------------------------------------------------------------------
+
+def scaled_perfect_set(scale, n=40):
+    """n perfect matches (target = source, identity frames) at ``scale``."""
+    points = np.random.default_rng(0).random((n, 3)) * scale
+    frames = np.broadcast_to(np.eye(3), (n, 3, 3))
+    return CorrespondenceSet.from_arrays(points, points, np.full(n, 0.9), np.full(n, 0.1), np.full(n, 1.0),
+                                         scale, source_frames=frames, target_frames=frames)
+
+
+OVERFLOW_CHECKED = [(group_st, "ST"), (group_gc, "GC"), (group_si, "SI"), (group_ransac, "RANSAC")]
+
+
+@pytest.mark.parametrize("algorithm, name", OVERFLOW_CHECKED, ids=["st", "gc", "si", "ransac"])
+def test_overflowing_lengths_rejected(algorithm, name):
+    with pytest.raises(ValueError, match=f"^{name}: .*overflow float64"):
+        algorithm(scaled_perfect_set(1e155), AlgorithmParams())
+
+
+@pytest.mark.parametrize("algorithm, name", OVERFLOW_CHECKED, ids=["st", "gc", "si", "ransac"])
+def test_large_finite_lengths_still_grouped(algorithm, name):
+    assert algorithm(scaled_perfect_set(1e150), AlgorithmParams()).inlier_indices == tuple(range(40))

@@ -19,7 +19,12 @@ from corrgroup import (
     group_st,
     rigidity_score,
 )
-from corrgroup.corr_model import pairwise_distance_residuals, pairwise_rigidity
+from corrgroup.corr_model import (
+    _rigidity_from_lengths,
+    pairwise_distance_residuals,
+    pairwise_lengths,
+    pairwise_rigidity,
+)
 
 REL = 1e-12  # cdist and the scalar norm round differently, by a few ulp
 
@@ -79,6 +84,23 @@ def test_kernel_matches_scalar_oracles_on_every_pair(pair, t_gc):
             assert residuals[i, j] == pytest.approx(residual, rel=REL, abs=tol)
             if abs(residual - t_gc) > tol:
                 assert (residuals[i, j] < t_gc) == compatible
+
+
+def two_division_rigidity(d_s, d_t):
+    """The two-quotient formula: min(d_s/d_t, d_t/d_s), 0 where either length is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.minimum(d_s / d_t, d_t / d_s)
+    scores[(d_s == 0.0) | (d_t == 0.0)] = 0.0
+    return scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_pairs(), st.sampled_from([1e-3, 0.1, 1.0, 7.0, 1e3, 1e6]))
+@example(  # both keypoints duplicated: d_s = d_t = 0, a 0/0 the one division must zero
+    pair=(np.array([[1.0, 2, 3], [1.0, 2, 3]]), np.array([[4.0, 5, 6], [4.0, 5, 6]])), scale=1.0)
+def test_one_division_rigidity_matches_two_division_bits(pair, scale):
+    d_s, d_t = pairwise_lengths(pair[0] * scale, pair[1] * scale)
+    assert _rigidity_from_lengths(d_s, d_t).tobytes() == two_division_rigidity(d_s, d_t).tobytes()
 
 
 # ---------------------------------------------------------------------------

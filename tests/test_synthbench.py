@@ -216,6 +216,23 @@ def test_recipe_rejects_nan(recipe, field):
         recipe(**{field: float("nan")})
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+@pytest.mark.parametrize("recipe, field", [
+    (SceneRecipe, "noise_sigma_pr"),
+    (CorrespondenceRecipe, "inlier_jitter_pr"),
+    (CorrespondenceRecipe, "outlier_min_offset_pr"),
+    (CorrespondenceRecipe, "lrf_noise_deg"),
+])
+def test_recipe_rejects_infinity(recipe, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        recipe(**{field: value})
+
+
+@pytest.mark.parametrize("n_total, ratio, planted", [(50, 0.25, 13), (60, 0.25, 15), (10, 0.05, 1), (7, 0.0, 0)])
+def test_planted_inliers_round_half_up(n_total, ratio, planted):
+    assert CorrespondenceRecipe(n_total=n_total, inlier_ratio=ratio).n_inliers == planted
+
+
 def test_random_rotation_is_proper():
     rng = np.random.default_rng(0)
     for _ in range(50):
