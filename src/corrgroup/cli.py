@@ -328,8 +328,10 @@ def cmd_group(args) -> int:
     algorithms = _selected_algorithms(args)
     params = _params_from_args(args)
     epsilon_pr = _pick(args, "epsilon_pr", DEFAULT_EPSILON_PR)
-    if not (epsilon_pr > 0):
-        raise ValidationFailure("--epsilon-pr must be positive")
+    try:
+        evaluation._check_tolerance(epsilon_pr, "--epsilon-pr")
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from None
 
     cset = load_correspondences(args.input)
     source_cloud = ply.load_ply(args.model_ply) if args.model_ply else None

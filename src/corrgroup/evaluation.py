@@ -20,6 +20,7 @@ import concurrent.futures
 import csv as _csv
 import io
 import json
+import math
 import operator
 import time
 from dataclasses import dataclass, field, replace
@@ -63,18 +64,23 @@ _SCHEMA = (
 CSV_COLUMNS, _COLUMN_TYPES, _OPTIONAL = zip(*_SCHEMA)
 
 
+def _check_tolerance(value: float, name: str = "epsilon") -> None:
+    """The judging tolerance rule: raise ``ValueError`` naming ``name``
+    unless ``value`` is positive and finite."""
+    if not (0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def judge(c: Correspondence, ground_truth: RigidTransform, epsilon: float) -> bool:
     """True when the ground-truth residual of c is within epsilon (inclusive)."""
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be positive")
+    _check_tolerance(epsilon)
     residual = float(np.linalg.norm(ground_truth.apply(c.source_point) - c.target_point))
     return residual <= epsilon
 
 
 def judge_set(cset: CorrespondenceSet, epsilon: float) -> np.ndarray:
     """Boolean judgment mask over a whole correspondence set."""
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be positive")
+    _check_tolerance(epsilon)
     if cset.ground_truth is None:
         raise ValueError("correspondence set has no ground truth")
     residuals = np.linalg.norm(
@@ -179,8 +185,7 @@ class InstanceSpec:
     epsilon_pr: float = DEFAULT_EPSILON_PR
 
     def __post_init__(self):
-        if not (self.epsilon_pr > 0):
-            raise ValueError("epsilon_pr must be positive")
+        _check_tolerance(self.epsilon_pr, "epsilon_pr")
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,15 @@ class LocalReferenceFrame:
         return LocalReferenceFrame(self.axes @ np.asarray(rotation, dtype=np.float64).T)
 
 
+# Verdicts of estimate_lrf_stack, one per centre.
+LRF_OK, LRF_INSUFFICIENT, LRF_AMBIGUOUS, LRF_FAULT = range(4)
+
+# Budget for the temporaries of one block of frame centres, and what each
+# gathered (centre, support point) pair takes of it.
+LRF_BLOCK_BYTES = 2**22
+_LRF_PAIR_BYTES = 96
+
+
 def estimate_lrf(cloud: PointCloud, center, support_radius: float) -> LocalReferenceFrame:
     """Repeatable local reference frame from a weighted support covariance.
 
@@ -229,36 +238,109 @@ def estimate_lrf(cloud: PointCloud, center, support_radius: float) -> LocalRefer
     the z axis the smallest (the local normal); both signs are chosen so
     that the majority of support offsets have a non-negative projection,
     and y = z x x completes a right-handed frame.
+
+    :func:`estimate_lrf_stack` on a stack of one.
     """
-    ctr = _as_vec3(center)
+    axes, verdict = estimate_lrf_stack(cloud, _as_vec3(center)[None], support_radius)
+    if verdict[0] == LRF_INSUFFICIENT:
+        raise InsufficientSupportError("insufficient support")
+    if verdict[0] == LRF_AMBIGUOUS:
+        raise AmbiguousFrameError("ambiguous frame")
+    return LocalReferenceFrame(axes[0])  # raises the frame rule's ValueError for LRF_FAULT
+
+
+def estimate_lrf_stack(cloud: PointCloud, centers, support_radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`estimate_lrf` rule on a (k, 3) stack of centres.
+
+    Returns the (k, 3, 3) axes and a (k,) verdict: ``LRF_OK``,
+    ``LRF_INSUFFICIENT`` (fewer than 5 support points), ``LRF_AMBIGUOUS``
+    or ``LRF_FAULT`` (the axes fail the :class:`LocalReferenceFrame` rule).
+    Axes of insufficient and ambiguous rows are NaN. Every row has the bits
+    the one-centre rule gives it: support is gathered from a k-d tree at a
+    slightly larger radius and cut by the same ``distance <= radius`` test
+    on the same distances, and rows are stacked only with rows of the same
+    support size, so every sum runs over the same terms in the same order.
+    Centres are taken in blocks whose gathered pairs fit ``LRF_BLOCK_BYTES``.
+    """
+    ctr = _as_points(centers)
     if support_radius <= 0:
         raise ValueError("support_radius must be positive")
-    d = np.linalg.norm(cloud.points - ctr, axis=1)
-    mask = d <= support_radius
-    if int(mask.sum()) < 5:
-        raise InsufficientSupportError("insufficient support")
+    axes = np.full((len(ctr), 3, 3), np.nan)
+    verdict = np.full(len(ctr), LRF_INSUFFICIENT, dtype=np.int8)
+    tree = cKDTree(cloud.points)
+    # The margin keeps every point the exact test admits inside the tree's search.
+    reach = support_radius * (1.0 + 1e-9)
+    pairs = tree.query_ball_point(ctr, reach, return_length=True)
+    block = (np.cumsum(pairs) - pairs) // (LRF_BLOCK_BYTES // _LRF_PAIR_BYTES)
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1), len(ctr)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        _lrf_block(cloud.points, tree, ctr[lo:hi], support_radius, reach, axes[lo:hi], verdict[lo:hi])
+    ok = verdict == LRF_OK
+    axes[ok, 1] = np.cross(axes[ok, 2], axes[ok, 0])
+    faults = np.any([bad for bad, _ in frame_faults(axes[ok])], axis=0)
+    verdict[np.flatnonzero(ok)[faults]] = LRF_FAULT
+    return axes, verdict
 
-    offsets = cloud.points[mask] - ctr
-    weights = support_radius - d[mask]
-    total = weights.sum()
-    if total <= 0.0:
-        raise AmbiguousFrameError("ambiguous frame")
-    cov = np.einsum("n,ni,nj->ij", weights, offsets, offsets) / total
 
-    evals, evecs = np.linalg.eigh(cov)
+def _lrf_block(points, tree, ctr, radius, reach, axes, verdict) -> None:
+    """Fill the x and z axes and the verdicts of one block of centres."""
+    n = max(len(points), 1)
+    near = cKDTree(ctr).sparse_distance_matrix(tree, reach, output_type="ndarray")
+    owner, idx = np.divmod(np.sort(near["i"] * n + near["j"]), n)
+    del near
+    offsets = points[idx]
+    offsets -= ctr[owner]
+    # (x² + y²) + z², the order in which np.linalg.norm(offsets, axis=1) sums.
+    sq = offsets * offsets
+    d = sq[:, 0] + sq[:, 1]
+    d += sq[:, 2]
+    np.sqrt(d, out=d)
+    del sq, idx
+    inside = d <= radius
+    owner, offsets, d = owner[inside], offsets[inside], d[inside]
+
+    # Rows of one support size made adjacent, each row's points still in
+    # index order: every group is then a (rows, size) view of the pairs.
+    size = np.bincount(owner, minlength=len(ctr))
+    by_size = np.argsort(size, kind="stable")
+    lens = size[by_size]
+    ends = np.cumsum(lens)
+    perm = np.repeat(np.cumsum(size)[by_size] - ends, lens) + np.arange(len(d))
+    offsets, d = offsets[perm], d[perm]
+    del owner, perm
+    sizes, heads, counts = np.unique(lens, return_index=True, return_counts=True)
+    groups = [(by_size[h:h + c], ends[h] - lens[h], s)
+              for s, h, c in zip(sizes, heads, counts) if s >= 5]
+
+    cov = np.empty((len(ctr), 3, 3))
+    total = np.zeros(len(ctr))
+    for rows, at, s in groups:
+        weights = radius - d[at:at + len(rows) * s].reshape(-1, s)
+        off = offsets[at:at + len(rows) * s].reshape(-1, s, 3)
+        total[rows] = weights.sum(axis=1)
+        cov[rows] = np.einsum("gn,gni,gnj->gij", weights, off, off)
+    fitted = (size >= 5) & (total > 0.0)
+    verdict[size >= 5] = LRF_AMBIGUOUS
+    evals, evecs = np.linalg.eigh(cov[fitted] / total[fitted, None, None])
     evals = np.clip(evals, 0.0, None)
+    decisive = np.zeros(len(ctr), dtype=bool)
+    decisive[fitted] = ~((_ratio(evals[:, 0], evals[:, 1]) > 0.99) | (_ratio(evals[:, 1], evals[:, 2]) > 0.99))
+    eigvecs = np.empty((len(ctr), 3, 3))
+    eigvecs[fitted] = evecs
+    verdict[decisive] = LRF_OK
 
-    def ratio(a: float, b: float) -> float:
-        return a / b if b > 0.0 else 1.0
+    for rows, at, s in groups:
+        keep = decisive[rows]
+        rows = rows[keep]
+        off = offsets[at:at + len(keep) * s].reshape(-1, s, 3)[keep]
+        # matmul, as the one-centre rule's offsets @ axis: einsum rounds differently.
+        for row, col in ((0, 2), (2, 0)):
+            axis = eigvecs[rows, :, col:col + 1]
+            proj = np.matmul(off, axis)
+            flip = (proj >= 0).sum(axis=(1, 2)) < (proj < 0).sum(axis=(1, 2))
+            axes[rows, row] = np.where(flip[:, None], -axis[:, :, 0], axis[:, :, 0])
 
-    if ratio(evals[0], evals[1]) > 0.99 or ratio(evals[1], evals[2]) > 0.99:
-        raise AmbiguousFrameError("ambiguous frame")
 
-    x = evecs[:, 2]
-    z = evecs[:, 0]
-    if np.count_nonzero(offsets @ x >= 0) < np.count_nonzero(offsets @ x < 0):
-        x = -x
-    if np.count_nonzero(offsets @ z >= 0) < np.count_nonzero(offsets @ z < 0):
-        z = -z
-    y = np.cross(z, x)
-    return LocalReferenceFrame(np.vstack([x, y, z]))
+def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b where b > 0, else 1."""
+    return np.divide(a, b, out=np.ones_like(a), where=b > 0.0)

@@ -75,8 +75,8 @@ class AlgorithmParams:
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1]")
         for name in ("d_ransac_pr", "t_gc_pr", "hough_bin_pr", "si_delta_pr"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
         # type(), not isinstance(): a bool is an int, and JSON true is no count.
         for name in ("n_ransac", "si_kappa"):
             value = getattr(self, name)

@@ -20,11 +20,13 @@ import numpy as np
 
 from .corr_model import CorrespondenceSet
 from .geom3d import (
-    AmbiguousFrameError,
-    InsufficientSupportError,
+    LRF_FAULT,
+    LRF_OK,
+    LocalReferenceFrame,
     PointCloud,
     RigidTransform,
-    estimate_lrf,
+    estimate_lrf,  # noqa: F401 -- perfbench's traced run wraps synthbench.estimate_lrf by name
+    estimate_lrf_stack,
 )
 
 MODEL_KINDS = ("sphere", "torus", "plane-with-bumps")
@@ -221,25 +223,35 @@ def generate_correspondences(
     rng = np.random.default_rng(recipe.rng_seed)
 
     support = DEFAULT_LRF_SUPPORT_PR * resolution
-    chosen: list[int] = []
+    walk = rng.permutation(len(model))
+    chosen: list[np.ndarray] = []
     frames: list[np.ndarray] = []
-    for candidate in rng.permutation(len(model)):
-        try:
-            frame = estimate_lrf(model, model.points[candidate], support)
-        except (InsufficientSupportError, AmbiguousFrameError):
-            continue
-        chosen.append(int(candidate))
-        frames.append(frame.axes)
-        if len(chosen) == n_total:
+    found = 0
+    # Frames come in fixed-size chunks of the candidate walk. A candidate
+    # counts only if the one-at-a-time walk would have reached it, that is,
+    # while fewer than n_total frames had passed before it.
+    chunk = n_total + n_total // 16 + 16
+    for head in range(0, len(walk), chunk):
+        candidates = walk[head:head + chunk]
+        axes, verdict = estimate_lrf_stack(model, model.points[candidates], support)
+        ok = verdict == LRF_OK
+        reached = np.cumsum(ok) - ok < n_total - found
+        faulty = np.flatnonzero(reached & (verdict == LRF_FAULT))
+        if faulty.size:
+            LocalReferenceFrame(axes[faulty[0]])  # raises the frame rule's ValueError
+        chosen.append(candidates[reached & ok])
+        frames.append(axes[reached & ok])
+        found += len(chosen[-1])
+        if found == n_total:
             break
-    if len(chosen) < n_total:
+    if found < n_total:
         raise ValueError(
-            f"only {len(chosen)} of {n_total} keypoints have stable local frames"
+            f"only {found} of {n_total} keypoints have stable local frames"
         )
 
     n_inliers = recipe.n_inliers
     n_outliers = n_total - n_inliers
-    source = model.points[np.array(chosen, dtype=np.intp)]
+    source = model.points[np.concatenate(chosen)]
     mapped = ground_truth.apply(source)
 
     jitter_dirs = _unit_vectors(rng, n_inliers)
@@ -265,7 +277,7 @@ def generate_correspondences(
     max_angle = math.radians(recipe.lrf_noise_deg)
     perturb_axes = _unit_vectors(rng, n_inliers)
     perturb_angles = max_angle * rng.random(n_inliers)
-    source_frames = np.array(frames)
+    source_frames = np.concatenate(frames)
     target_frames = source_frames @ ground_truth.rotation.T
     wobble = np.array([rotation_about_axis(axis, angle)
                        for axis, angle in zip(perturb_axes, perturb_angles)]).reshape(-1, 3, 3)

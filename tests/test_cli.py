@@ -180,6 +180,26 @@ class TestGroup:
         assert code == 2
         assert "--epsilon-pr must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--epsilon-pr", "--d-ransac-pr", "--t-gc-pr", "--hough-bin-pr",
+                                      "--si-delta-pr"])
+    def test_infinite_tolerance_exit_2(self, synth_files, tmp_path, capsys, flag):
+        out = tmp_path / "idx.txt"
+        code = run_cli("group", "--algo", "gc", "--algo", "3dhv", "--in", str(synth_files["corrs"]),
+                       "--gt", str(synth_files["gt"]), flag, "inf", "--out", str(out))
+        assert code == 2
+        name = flag if flag == "--epsilon-pr" else flag[2:].replace("-", "_")
+        assert f"{name} must be positive and finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("idx*"))
+
+    @pytest.mark.parametrize("key", ["epsilon_pr", "t_gc_pr"])
+    def test_infinite_config_tolerance_exit_2(self, synth_files, tmp_path, capsys, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: float("inf")}))
+        code = run_cli("--config", str(config), "group", "--algo", "gc", "--in", str(synth_files["corrs"]),
+                       "--gt", str(synth_files["gt"]))
+        assert code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
     def test_ransac_transform_sidecar(self, synth_files, tmp_path):
         tf_path = tmp_path / "tf.txt"
         code = run_cli(

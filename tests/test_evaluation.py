@@ -66,6 +66,15 @@ class TestJudge:
         with pytest.raises(ValueError, match="positive"):
             judge(c, RigidTransform.identity(), NAN)
 
+    def test_rejects_infinite_epsilon(self):
+        c = Correspondence(np.zeros(3), np.array([50.0, 0.0, 0.0]), 0.9, 0.1, 1.0)
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+            judge(c, RigidTransform.identity(), float("inf"))
+
+    def test_judge_set_rejects_infinite_epsilon(self):
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+            evaluation.judge_set(displaced_set([0.0, 50.0]), float("inf"))
+
     def test_requires_positive_epsilon(self):
         c = Correspondence(np.zeros(3), np.zeros(3), 0.9, 0.1, 1.0)
         with pytest.raises(ValueError):
@@ -238,6 +247,10 @@ class TestRunSweep:
     def test_spec_rejects_nan_epsilon(self):
         with pytest.raises(ValueError, match="positive"):
             InstanceSpec(epsilon_pr=NAN)
+
+    def test_spec_rejects_infinite_epsilon(self):
+        with pytest.raises(ValueError, match="^epsilon_pr must be positive and finite$"):
+            InstanceSpec(epsilon_pr=float("inf"))
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):

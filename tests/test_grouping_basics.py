@@ -216,6 +216,11 @@ class TestAlgorithmParams:
         with pytest.raises(ValueError):
             AlgorithmParams(**bad)
 
+    @pytest.mark.parametrize("field", ["d_ransac_pr", "t_gc_pr", "hough_bin_pr", "si_delta_pr"])
+    def test_infinite_tolerance_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
+            AlgorithmParams(**{field: float("inf")})
+
     @pytest.mark.parametrize("field", ["n_ransac", "si_kappa", "rng_seed"])
     def test_booleans_rejected(self, field):
         with pytest.raises(ValueError, match=field):
