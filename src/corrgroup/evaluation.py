@@ -206,8 +206,8 @@ class SweepPlan:
             raise ValueError("a sweep needs at least 2 levels")
         if any(not (b > a) for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if self.trials_per_level < 1:
-            raise ValueError("trials_per_level must be positive")
+        if type(self.trials_per_level) is not int or self.trials_per_level < 1:
+            raise ValueError(f"trials_per_level must be positive and an integer, got {self.trials_per_level!r}")
         for level in levels:
             _spec_at(self.base, self.axis, level)
         object.__setattr__(self, "levels", levels)
@@ -325,8 +325,8 @@ def time_algorithms(
     call per set on a monotonic clock. Set construction is excluded from
     the measurement.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    if type(repeats) is not int or repeats < 1:
+        raise ValueError(f"repeats must be >= 1 and an integer, got {repeats!r}")
     specs = [_spec_at(spec, "n_correspondences", size) for size in sizes]
     algorithms = tuple(algorithms)
     records = []

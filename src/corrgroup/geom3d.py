@@ -114,20 +114,27 @@ class RigidTransform:
 
 _RIGID_FAULTS = ("vector components must be finite", "rotation entries must be finite",
                  "rotation matrix is not orthonormal", "rotation matrix must have determinant +1")
+_FRAME_FAULTS = ("frame axes must be finite", "frame rows are not orthonormal", "frame must be right-handed")
+
+
+def _rotation_faults(m: np.ndarray) -> np.ndarray:
+    """The proper-rotation rule on a (k, 3, 3) stack: (3, k) masks of the rows that fail
+    finite entries, M M^T = I and det +1 (1e-9); a non-finite row fails only the first."""
+    finite = np.isfinite(m).all(axis=(1, 2))
+    m = np.where(finite[:, None, None], m, np.eye(3))
+    return np.array([
+        ~finite,
+        np.abs(m @ m.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2)) > 1e-9,
+        np.abs(np.linalg.det(m) - 1.0) > 1e-9,
+    ])
 
 
 def _check_rigid_stack(rotations: np.ndarray, translations: np.ndarray) -> None:
     """The :class:`RigidTransform` rule on a (k, 3, 3) / (k, 3) stack: raise
     its ``ValueError`` for the first pair that fails, naming the first check
-    it fails (finite translation, finite rotation, R^T R = I and det +1, 1e-9)."""
-    finite = np.isfinite(rotations).all(axis=(1, 2))
-    rot = np.where(finite[:, None, None], rotations, np.eye(3))
-    faults = np.array([
-        ~np.isfinite(translations).all(axis=1),
-        ~finite,
-        np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(3)).max(axis=(1, 2)) > 1e-9,
-        np.abs(np.linalg.det(rot) - 1.0) > 1e-9,
-    ])
+    it fails: finite translation, then the rotation rule on R^T (Gram R^T R)."""
+    faults = np.vstack([~np.isfinite(translations).all(axis=1)[None],
+                        _rotation_faults(rotations.transpose(0, 2, 1))])
     faulty = faults.any(axis=0)
     if faulty.any():
         raise ValueError(_RIGID_FAULTS[int(np.argmax(faults[:, np.argmax(faulty)]))])
@@ -191,14 +198,7 @@ def estimate_rigid_transform(source_points, target_points) -> RigidTransform:
 def frame_faults(axes: np.ndarray) -> list[tuple[np.ndarray, str]]:
     """The frame-validity rule on an (n, 3, 3) stack of axes, as (bad-row
     mask, reason) per check in order: finite, orthonormal rows, det +1 (1e-9)."""
-    finite = np.isfinite(axes).all(axis=(1, 2))
-    axes = np.where(finite[:, None, None], axes, np.eye(3))
-    gram_error = np.abs(axes @ axes.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
-    return [
-        (~finite, "frame axes must be finite"),
-        (gram_error > 1e-9, "frame rows are not orthonormal"),
-        (np.abs(np.linalg.det(axes) - 1.0) > 1e-9, "frame must be right-handed"),
-    ]
+    return list(zip(_rotation_faults(axes), _FRAME_FAULTS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +263,8 @@ def estimate_lrf_stack(cloud: PointCloud, centers, support_radius: float) -> tup
     Centres are taken in blocks whose gathered pairs fit ``LRF_BLOCK_BYTES``.
     """
     ctr = _as_points(centers)
-    if support_radius <= 0:
-        raise ValueError("support_radius must be positive")
+    if not (0 < support_radius < np.inf):
+        raise ValueError("support_radius must be positive and finite")
     axes = np.full((len(ctr), 3, 3), np.nan)
     verdict = np.full(len(ctr), LRF_INSUFFICIENT, dtype=np.int8)
     tree = cKDTree(cloud.points)
@@ -277,8 +277,7 @@ def estimate_lrf_stack(cloud: PointCloud, centers, support_radius: float) -> tup
         _lrf_block(cloud.points, tree, ctr[lo:hi], support_radius, reach, axes[lo:hi], verdict[lo:hi])
     ok = verdict == LRF_OK
     axes[ok, 1] = np.cross(axes[ok, 2], axes[ok, 0])
-    faults = np.any([bad for bad, _ in frame_faults(axes[ok])], axis=0)
-    verdict[np.flatnonzero(ok)[faults]] = LRF_FAULT
+    verdict[np.flatnonzero(ok)[_rotation_faults(axes[ok]).any(axis=0)]] = LRF_FAULT
     return axes, verdict
 
 

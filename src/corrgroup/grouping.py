@@ -88,33 +88,32 @@ class AlgorithmParams:
 
 @dataclass(frozen=True, eq=False)
 class GroupingResult:
-    """Sorted inlier indices, optional per-index scores, optional transform."""
+    """Sorted inlier indices (a 1-D integer sequence or array, stored as a
+    tuple of ints), optional per-index scores, optional transform."""
 
     inlier_indices: tuple[int, ...]
     scores: dict[int, float] | None = None
     transform: RigidTransform | None = None
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.inlier_indices)
-        if any(i < 0 for i in idx):
+        idx = np.asarray(self.inlier_indices)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise ValueError("indices must be a 1-D integer sequence")
+        if idx.size and idx.min() < 0:
             raise ValueError("indices must be non-negative")
-        if len(set(idx)) != len(idx):
-            raise ValueError("indices must be unique")
-        if idx != tuple(sorted(idx)):
-            raise ValueError("indices must be sorted")
-        object.__setattr__(self, "inlier_indices", idx)
+        if not (idx[1:] > idx[:-1]).all():
+            raise ValueError("indices must be " + ("unique" if len(np.unique(idx)) < len(idx) else "sorted"))
+        object.__setattr__(self, "inlier_indices", tuple(idx.tolist()))
         if self.scores is not None:
-            scores = {int(k): float(v) for k, v in self.scores.items()}
-            if set(scores) != set(idx):
+            # Keyed by the stored index objects, so a result holds each index once.
+            own = dict(zip(self.inlier_indices, self.inlier_indices))
+            scores = {own.get(k): float(v) for k, v in self.scores.items()}
+            if None in scores or len(scores) != len(own):
                 raise ValueError("scores must cover exactly the inlier indices")
             object.__setattr__(self, "scores", scores)
 
     def __len__(self) -> int:
         return len(self.inlier_indices)
-
-
-def _empty_result() -> GroupingResult:
-    return GroupingResult(())
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +177,10 @@ def _check_span(cset: CorrespondenceSet, algorithm: str) -> None:
                      f"pairwise lengths overflow float64")
 
 
+POWER_TOL = 1e-10
+POWER_MAX_ITER = 10000
+
+
 def _power_iterate(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, bool]:
     """Power iteration from the uniform vector; L2-normalized iterates."""
     n = matrix.shape[0]
@@ -195,11 +198,11 @@ def _power_iterate(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[np.nd
     return v, float(v @ (matrix @ v)), False
 
 
-def principal_eigenvector(matrix, *, tol: float = 1e-10, max_iter: int = 10000) -> tuple[np.ndarray, float]:
+def principal_eigenvector(matrix) -> tuple[np.ndarray, float]:
     """Dominant eigenpair of a symmetric non-negative matrix.
 
     Power iteration starting from the uniform vector; converged when
-    successive normalized iterates differ by less than ``tol`` in max-norm.
+    successive normalized iterates differ by less than ``POWER_TOL`` in max-norm.
     The returned vector is entrywise non-negative with unit L2 norm.
     """
     m = np.asarray(matrix, dtype=np.float64)
@@ -211,7 +214,7 @@ def principal_eigenvector(matrix, *, tol: float = 1e-10, max_iter: int = 10000) 
         raise ValueError("matrix must be symmetric")
     if (m < 0).any():
         raise ValueError("matrix entries must be non-negative")
-    vector, value, converged = _power_iterate(m, tol, max_iter)
+    vector, value, converged = _power_iterate(m, POWER_TOL, POWER_MAX_ITER)
     if not converged:
         raise NonConvergenceError("eigen non-convergence")
     return vector, value
@@ -229,12 +232,11 @@ def group_ss(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     that value, and everything is kept.
     """
     if len(cset) == 0:
-        return _empty_result()
+        return GroupingResult(())
     sims = cset.similarities
     cutoff = otsu_threshold(sims).threshold if params.t_ss is None else params.t_ss
     keep = np.flatnonzero(sims >= cutoff)
-    return GroupingResult(tuple(int(i) for i in keep),
-                          scores={int(i): float(sims[i]) for i in keep})
+    return GroupingResult(keep, scores=dict(zip(keep.tolist(), sims[keep].tolist())))
 
 
 def _lowe_scores(cset: CorrespondenceSet) -> np.ndarray:
@@ -258,11 +260,10 @@ def group_nnsr(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResu
     indistinguishable, so the correspondence is rejected.
     """
     if len(cset) == 0:
-        return _empty_result()
+        return GroupingResult(())
     scores, passed = _ratio_test(cset, params.t_nnsr)
     keep = np.flatnonzero(passed)
-    return GroupingResult(tuple(int(i) for i in keep),
-                          scores={int(i): float(scores[i]) for i in keep})
+    return GroupingResult(keep, scores=dict(zip(keep.tolist(), scores[keep].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,7 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
             best_count, best_fit, consensus = int(counts[k]), (rot[k], tra[k]), inliers[k]
 
     if best_count == 0:
-        return _empty_result()
+        return GroupingResult(())
 
     best = RigidTransform(*best_fit)
     if best_count >= 3:
@@ -323,7 +324,7 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
         except DegenerateSampleError:
             pass
     final = np.flatnonzero(np.linalg.norm(best.apply(src) - tgt, axis=1) < threshold)
-    return GroupingResult(tuple(int(i) for i in final), transform=best)
+    return GroupingResult(final, transform=best)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     """
     n = len(cset)
     if n == 0:
-        return _empty_result()
+        return GroupingResult(())
     if n == 1:
         return GroupingResult((0,), scores={0: 1.0})
     _check_span(cset, "ST")
@@ -358,12 +359,12 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     matrix[matrix < params.t_st] = 0.0
     np.fill_diagonal(matrix, 0.0)
     if not matrix.any():
-        return _empty_result()
+        return GroupingResult(())
 
     # The public helper raises at the iteration cap; here the capped
     # iterate is still a usable ranking, and this algorithm's contract is
     # to never fail on valid input.
-    vector, _, _ = _power_iterate(matrix, tol=1e-10, max_iter=10000)
+    vector, _, _ = _power_iterate(matrix, POWER_TOL, POWER_MAX_ITER)
 
     order = np.argsort(-vector, kind="stable")
     # Coordinate tuples compare like the arrays (-0.0 == 0.0; columns are finite).
@@ -377,7 +378,7 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
             used_src.add(s)
             used_tgt.add(t)
             accepted[i] = entry
-    return GroupingResult(tuple(sorted(accepted)), scores=accepted or None)
+    return GroupingResult(sorted(accepted), scores=accepted or None)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +394,7 @@ def group_gc(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     """
     n = len(cset)
     if n == 0:
-        return _empty_result()
+        return GroupingResult(())
     _check_span(cset, "GC")
     threshold = params.t_gc_pr * cset.source_resolution_pr
     residuals = pairwise_distance_residuals(cset.source_points, cset.target_points)
@@ -401,7 +402,7 @@ def group_gc(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     sizes = compatible.sum(axis=1)
     seed = int(np.argmax(sizes))
     members = np.flatnonzero(compatible[seed])
-    return GroupingResult(tuple(int(i) for i in members))
+    return GroupingResult(members)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +434,7 @@ def group_3dhv(cset: CorrespondenceSet, params: AlgorithmParams,
     by the lexicographically smallest bin coordinate.
     """
     if len(cset) == 0:
-        return _empty_result()
+        return GroupingResult(())
     if len(source_cloud) == 0:
         raise ValueError("source cloud must be non-empty")
     bin_side = params.hough_bin_pr * cset.source_resolution_pr
@@ -445,7 +446,7 @@ def group_3dhv(cset: CorrespondenceSet, params: AlgorithmParams,
     # Unique rows come back in lexicographic order, so argmax picks the
     # smallest coordinate among the peak bins.
     _, labels, counts = np.unique(bins, axis=0, return_inverse=True, return_counts=True)
-    return GroupingResult(tuple(np.flatnonzero(labels.reshape(-1) == np.argmax(counts)).tolist()))
+    return GroupingResult(np.flatnonzero(labels.reshape(-1) == np.argmax(counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +472,7 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     """
     n = len(cset)
     if n == 0:
-        return _empty_result()
+        return GroupingResult(())
     if not cset.has_lrfs:
         raise ValueError("LRF required for SI")
     if n == 1:
@@ -523,8 +524,7 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     scores = (local_votes + global_votes) / denominator
 
     keep = np.flatnonzero(scores >= otsu_threshold(scores).threshold)
-    return GroupingResult(tuple(int(i) for i in keep),
-                          scores={int(i): float(scores[i]) for i in keep})
+    return GroupingResult(keep, scores=dict(zip(keep.tolist(), scores[keep].tolist())))
 
 
 # The one dispatch table; its order is the algorithm order of sweeps and reports.

@@ -84,8 +84,8 @@ class CorrespondenceRecipe:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_total < 1:
-            raise ValueError("n_total must be positive")
+        if type(self.n_total) is not int or self.n_total < 1:
+            raise ValueError(f"n_total must be positive and an integer, got {self.n_total!r}")
         if not (0.0 <= self.inlier_ratio <= 1.0):
             raise ValueError("inlier_ratio must be in [0, 1]")
         if not (0 <= self.inlier_jitter_pr < math.inf):

@@ -314,3 +314,15 @@ class TestSerialization:
     def test_csv_rejects_foreign_header(self):
         with pytest.raises(ValueError, match="header"):
             records_from_csv("a,b,c\n1,2,3\n")
+
+
+@pytest.mark.parametrize("trials", [1.5, 2.0, True])
+def test_plan_rejects_non_integer_trials(trials):
+    with pytest.raises(ValueError, match="^trials_per_level must be positive and an integer"):
+        small_plan(trials=trials)
+
+
+@pytest.mark.parametrize("repeats", [1.5, 2.0, True])
+def test_timing_rejects_non_integer_repeats(repeats):
+    with pytest.raises(ValueError, match="^repeats must be >= 1 and an integer"):
+        time_algorithms((40,), ("ss",), InstanceSpec(), repeats=repeats)

@@ -313,3 +313,13 @@ def test_generation_memory_does_not_grow_with_the_set():
     # Frame temporaries are bounded per block of centres; what remains is
     # the set itself and the k-d tree, well under a mebibyte here.
     assert generation_peak(8000, 2000) - generation_peak(4000, 1000) <= 2**20
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
+def test_non_finite_radius_is_rejected(radius):
+    cloud = make_test_model("sphere", 300, 0)
+    center = cloud.points[0]
+    with pytest.raises(ValueError, match="^support_radius must be positive and finite$"):
+        estimate_lrf(cloud, center, radius)
+    with pytest.raises(ValueError, match="^support_radius must be positive and finite$"):
+        estimate_lrf_stack(cloud, center[None], radius)

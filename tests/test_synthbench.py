@@ -239,3 +239,10 @@ def test_random_rotation_is_proper():
         q = random_rotation(rng)
         assert np.abs(q.T @ q - np.eye(3)).max() < 1e-12
         assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
+
+
+# A count must be an int: a float fails later in generation, and True is no count.
+@pytest.mark.parametrize("n_total", [2.5, 3.0, True, "3"])
+def test_recipe_rejects_non_integer_n_total(n_total):
+    with pytest.raises(ValueError, match="^n_total must be positive and an integer"):
+        CorrespondenceRecipe(n_total=n_total)
