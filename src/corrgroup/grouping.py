@@ -270,8 +270,61 @@ def group_nnsr(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResu
 # RANSAC
 # ---------------------------------------------------------------------------
 
-# Bytes of one block's (B, n, 3) float64 residual array; B >= 1.
+# Bytes of one block's (B, 3, n) float64 residual array; B >= 1.
 RANSAC_BLOCK_BYTES = 3 * 2**19
+
+
+def _draw_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` calls of ``rng.choice(n, size=3, replace=False)`` as one
+    (count, 3) int64 array, leaving ``rng`` exactly where the calls would.
+
+    Each call of numpy 2.x's ``Generator.choice`` makes five bounded draws:
+    Floyd's algorithm on [0, n-3], [0, n-2] and [0, n-1] (a repeat is
+    replaced by the bound), then a shuffle on [0, 2] and [0, 1]. Each draw is
+    Lemire's method on one 32-bit half of a PCG64 word, low half first, with
+    the unused high half kept in the bit generator's ``has_uint32`` and
+    ``uinteger``; the draw on [0, 0] (n = 3) takes no half. So the samples are
+    computed here from ``random_raw`` words. When any draw would be rejected
+    by Lemire's method, or n - 1 exceeds 32 bits (numpy then draws 64-bit
+    words), the state is restored and the calls are made one by one.
+    """
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    if n <= 2**32:
+        low = np.uint64(0xFFFFFFFF)
+        bounds = np.array([n - 2, n - 1, n, 3, 2][int(n == 3):], dtype=np.uint64)
+        need = bounds.size * count
+        carry = saved["has_uint32"]
+        words = bitgen.random_raw((need - carry + 1) // 2)
+        halves = np.empty(carry + 2 * words.size, dtype=np.uint64)
+        halves[:carry] = saved["uinteger"]
+        halves[carry::2] = words & low
+        halves[carry + 1::2] = words >> np.uint64(32)
+        # Lemire: a draw is the high 32 bits of half * bound, rejected when
+        # the low 32 bits fall below (2**32 - bound) % bound.
+        scaled = halves[:need].reshape(count, -1) * bounds
+        if not ((scaled & low) < (np.uint64(2**32) - bounds) % bounds).any():
+            draws = (scaled >> np.uint64(32)).astype(np.int64)
+            if n == 3:  # the draw on [0, 0] is 0
+                draws = np.hstack([np.zeros((count, 1), dtype=np.int64), draws])
+            samples = draws[:, :3].copy()
+            first, second, third = samples.T  # views: Floyd's repeats become the bound
+            second[second == first] = n - 2
+            third[(third == first) | (third == second)] = n - 1
+            rows = np.arange(count)
+            # The shuffle swaps position 2 with j on [0, 2], then 1 with j on [0, 1].
+            for i, j in ((2, draws[:, 3]), (1, draws[:, 4])):
+                swapped = samples[rows, j]
+                samples[rows, j] = samples[:, i]
+                samples[:, i] = swapped
+            state = bitgen.state
+            state["has_uint32"] = halves.size - need
+            if state["has_uint32"]:
+                state["uinteger"] = int(halves[-1])
+            bitgen.state = state
+            return samples
+        bitgen.state = saved
+    return np.array([rng.choice(n, size=3, replace=False) for _ in range(count)])
 
 
 def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult:
@@ -296,20 +349,25 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
     threshold = params.d_ransac_pr * cset.source_resolution_pr
     rng = np.random.default_rng(params.rng_seed)
     block = max(1, RANSAC_BLOCK_BYTES // src.nbytes)
+    # Coordinate-major points: each residual coordinate is a contiguous row.
+    src_t = src.T.copy()
+    tgt_t = tgt.T.copy()
 
     best_count = 0
     for start in range(0, params.n_ransac, block):
-        samples = np.array([rng.choice(n, size=3, replace=False)
-                            for _ in range(min(block, params.n_ransac - start))])
+        samples = _draw_samples(rng, n, min(block, params.n_ransac - start))
         rot, tra, _ = _fit_rigid_stack(src[samples], tgt[samples])
         _check_rigid_stack(rot, tra)
-        residual = src @ rot.transpose(0, 2, 1)
-        residual += tra[:, None, :]
-        residual -= tgt
-        # np.linalg.norm(residual, axis=2), without its two (B, n, 3) temporaries.
+        residual = np.matmul(rot, src_t)
+        residual += tra[:, :, None]
+        residual -= tgt_t
         residual *= residual
-        inliers = np.sqrt(residual.sum(axis=2)) < threshold
-        counts = inliers.sum(axis=1)
+        # (x + y) + z: the order in which ``sum(axis=-1)`` adds a length-3 axis.
+        dist = residual[:, 0] + residual[:, 1]
+        dist += residual[:, 2]
+        del residual  # freed before the next block allocates its residuals
+        inliers = np.sqrt(dist, out=dist) < threshold
+        counts = np.count_nonzero(inliers, axis=1)
         if counts.max(initial=0) > best_count:
             k = int(np.argmax(counts))
             best_count, best_fit, consensus = int(counts[k]), (rot[k], tra[k]), inliers[k]
@@ -458,6 +516,11 @@ def _frame_motions(frames_s: np.ndarray, frames_t: np.ndarray) -> np.ndarray:
     return np.einsum("nji,njk->nik", frames_t, frames_s)
 
 
+# Bytes of one row block's (rows, kappa, 3) float64 array in si's global
+# vote; rows >= 1.
+SI_BLOCK_BYTES = 3 * 2**19
+
+
 def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult:
     """Local plus global voting with an adaptive cutoff on the vote score.
 
@@ -509,11 +572,18 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     motions = _frame_motions(cset.source_frames, cset.target_frames)
     voter_src = src[global_voters]
     voter_tgt = tgt[global_voters]
-    mapped = np.einsum("nik,ngk->ngi", motions, voter_src[None, :, :] - src[:, None, :]) + tgt[:, None, :]
-    residual = np.linalg.norm(mapped - voter_tgt[None, :, :], axis=2)
     delta = params.si_delta_pr * cset.source_resolution_pr
-    global_rigidity = rigidity[:, global_voters]
-    vote_mask = (global_rigidity > params.si_sigma) & (residual < delta)
+    # Rows in blocks whose (rows, kappa, 3) float64 arrays take at most
+    # SI_BLOCK_BYTES; the einsum reduces over k only, so blocks keep the bits.
+    rows = max(1, SI_BLOCK_BYTES // voter_src.nbytes)
+    vote_mask = np.empty((n, kappa), dtype=bool)
+    for start in range(0, n, rows):
+        part = slice(start, start + rows)
+        mapped = np.einsum("nik,ngk->ngi", motions[part], voter_src[None, :, :] - src[part, None, :])
+        mapped += tgt[part, None, :]
+        mapped -= voter_tgt[None, :, :]
+        vote_mask[part] = ((rigidity[part, global_voters] > params.si_sigma)
+                           & (np.linalg.norm(mapped, axis=2) < delta))
     # A candidate in the voter pool trivially agrees with its own induced
     # motion; without the self-vote the zero self-rigidity (duplicate-pair
     # rule) would cap perfect candidates below score 1.

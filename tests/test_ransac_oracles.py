@@ -7,6 +7,10 @@ norm per iteration. Both must agree with the package bit for bit: inlier
 indices, ``rotation.tobytes()`` and ``translation.tobytes()``. Integer-grid
 keypoints give duplicate keypoints, collinear (degenerate) samples and exact
 consensus ties, so the earliest-iteration tie rule is exercised.
+
+``choice_loop`` is the per-call ``Generator.choice`` stream that
+``grouping._draw_samples`` replays from raw generator words; the two must
+give the same samples and leave the generator in the same state.
 """
 
 import tracemalloc
@@ -227,8 +231,8 @@ def random_set(n, seed=0):
     return CorrespondenceSet.from_arrays(src, tgt, ones, ones, ones, 0.1)
 
 
-def ransac_peak_bytes(cset):
-    params = AlgorithmParams(n_ransac=200)
+def ransac_peak_bytes(cset, n_ransac=200):
+    params = AlgorithmParams(n_ransac=n_ransac)
     tracemalloc.start()
     try:
         group_ransac(cset, params)
@@ -243,3 +247,75 @@ def test_ransac_memory_is_bounded():
     # Beyond the fixed block budget, the peak may grow only by a few (n, 3)
     # float64 columns.
     assert peaks[4000] - peaks[1000] < 4 * 24 * (4000 - 1000)
+
+
+def test_ransac_memory_does_not_grow_with_iterations():
+    # Samples are drawn per block, so 100 times the iterations add no memory.
+    cset = random_set(1000)
+    assert ransac_peak_bytes(cset, 20000) - ransac_peak_bytes(cset, 200) < 256 * 2**10
+
+
+def choice_loop(rng, n, count):
+    return np.array([rng.choice(n, size=3, replace=False) for _ in range(count)])
+
+
+def generator_state(rng):
+    """The PCG state, the carry flag, and the carried half while the flag is
+    set (the loop leaves a stale half behind a cleared flag)."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
+
+
+class CountingGenerator:
+    """A generator whose ``choice`` calls are counted, so a test can see
+    which blocks the draw helper handed to the loop."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.calls = 0
+
+    def choice(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.choice(*args, **kwargs)
+
+
+def assert_draws_match_loop(seed, n, blocks):
+    """Draw `blocks` in turn from one generator; returns the number of
+    blocks that fell back to the loop."""
+    fast = CountingGenerator(seed)
+    slow = np.random.default_rng(seed)
+    fell_back = 0
+    for count in blocks:
+        calls = fast.calls
+        samples = grouping._draw_samples(fast, n, count)
+        fell_back += fast.calls > calls
+        assert samples.dtype == np.int64
+        assert samples.tolist() == choice_loop(slow, n, count).tolist()
+        assert generator_state(fast.rng) == generator_state(slow)
+    return fell_back
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.one_of(st.integers(3, 12), st.integers(3, 10**5)),
+       blocks=st.lists(st.integers(1, 9), min_size=1, max_size=6))
+def test_sample_draw_matches_choice_loop(seed, n, blocks):
+    # Odd blocks leave a high half carried into the next block.
+    assert_draws_match_loop(seed, n, blocks)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_draw_falls_back_within_a_call(seed):
+    # Near 3 * 2**30 a quarter of the draws on [0, n-3] .. [0, n-1] are
+    # rejected by Lemire's method, so most blocks fall back and some do not.
+    blocks = [1, 2, 1, 3, 1, 1, 2, 1, 1, 4]
+    fell_back = assert_draws_match_loop(seed, 3 * 2**30 + seed, blocks)
+    assert 0 < fell_back < len(blocks)
+
+
+@pytest.mark.parametrize("n", [2**32 - 1, 2**32, 2**32 + 1])
+def test_sample_draw_at_the_32_bit_edge(n):
+    # Bounds up to 2**32 - 1 take 32-bit halves; past them numpy draws
+    # 64-bit words, and the helper hands every block to the loop.
+    fell_back = assert_draws_match_loop(7, n, [1, 2, 3])
+    assert fell_back == (3 if n > 2**32 else 0)

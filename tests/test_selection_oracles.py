@@ -6,16 +6,21 @@ round, then every survivor sharing a keypoint with the chosen one dropped),
 fed the same power-iteration vector as :func:`group_st`. ``si_argsort_oracle``
 is si with its neighbours from a stable full-row ``argsort``. Both must agree
 with the package bit for bit on integer-grid keypoints, which produce
-duplicate keypoints and exact distance ties.
+duplicate keypoints and exact distance ties. si's global vote, computed by
+the package in row blocks, is also checked on float keypoints and rotated
+frames against the oracle's one einsum over all rows.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrgroup import AlgorithmParams, CorrespondenceSet, group_si, group_st, otsu_threshold
+from corrgroup import AlgorithmParams, CorrespondenceSet, group_si, group_st, grouping, otsu_threshold
 from corrgroup.corr_model import _rigidity_from_lengths, pairwise_lengths, pairwise_rigidity
 from corrgroup.grouping import _frame_motions, _lowe_scores, _power_iterate
+from corrgroup.synthbench import random_rotation
 
 # Exact rotations about z by 0, 90, 180 and 270 degrees.
 QUARTER_TURNS = np.array([np.linalg.matrix_power([[0, -1, 0], [1, 0, 0], [0, 0, 1]], k)
@@ -122,3 +127,36 @@ def test_si_cutoff_matches_full_sort(cset, kappa, t_nnsr):
     params = AlgorithmParams(si_kappa=kappa, t_nnsr=t_nnsr)
     result = group_si(cset, params)
     assert (result.inlier_indices, result.scores) == si_argsort_oracle(cset, params)
+
+
+def float_set(seed, n, inlier_share):
+    """Float keypoints; inliers follow one random rotation with unit noise on
+    the target points, so some global-vote residuals fall near delta."""
+    rng = np.random.default_rng(seed)
+    rot = random_rotation(rng)
+    src = rng.normal(size=(n, 3)) * 10.0
+    tgt = src @ rot.T + rng.normal(size=3) * 50.0 + rng.normal(size=(n, 3))
+    outliers = rng.random(n) >= inlier_share
+    tgt[outliers] = rng.normal(size=(int(outliers.sum()), 3)) * 10.0
+    source_frames = np.array([random_rotation(rng) for _ in range(n)])
+    target_frames = np.where(outliers[:, None, None], np.array([random_rotation(rng) for _ in range(n)]),
+                             source_frames @ rot.T)
+    nn = rng.uniform(0.1, 0.5, size=n)
+    return CorrespondenceSet.from_arrays(src, tgt, rng.uniform(0.1, 1.0, size=n), nn,
+                                         nn + rng.uniform(0.0, 2.0, size=n), 1.0,
+                                         source_frames=source_frames, target_frames=target_frames)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), inlier_share=st.sampled_from([0.3, 0.7]),
+       kappa=st.sampled_from([1, 7, 250]), rows=st.integers(1, 3), si_delta_pr=st.sampled_from([0.5, 2.0]))
+def test_si_row_blocks_match_one_einsum(seed, n, inlier_share, kappa, rows, si_delta_pr):
+    cset = float_set(seed, n, inlier_share)
+    params = AlgorithmParams(si_kappa=kappa, si_delta_pr=si_delta_pr, t_nnsr=0.5)
+    voters = min(kappa, n - 1)
+    # Blocks of `rows` rows: the budget is counted in (kappa, 3) float64 arrays.
+    with mock.patch.object(grouping, "SI_BLOCK_BYTES", 24 * voters * rows):
+        result = group_si(cset, params)
+    indices, scores = si_argsort_oracle(cset, params)
+    assert result.inlier_indices == indices
+    assert [f"{result.scores[i]:.17g}" for i in indices] == [f"{scores[i]:.17g}" for i in indices]
