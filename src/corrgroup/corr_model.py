@@ -228,28 +228,47 @@ def distance_compatibility(c1: Correspondence, c2: Correspondence, t_gc: float) 
     return residual, residual < t_gc
 
 
-def pairwise_lengths(source_points: np.ndarray, target_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d_s, d_t): source- and target-side segment lengths of every
-    correspondence pair, the one n x n length computation behind the
-    pairwise constraints of st, gc and si."""
-    return cdist(source_points, source_points), cdist(target_points, target_points)
+def pairwise_lengths(source_points: np.ndarray, target_points: np.ndarray,
+                     rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(d_s, d_t): source- and target-side segment lengths from the
+    correspondences in ``rows`` to every correspondence, the one length
+    computation behind the pairwise constraints of st, gc and si. Any
+    selection of rows has the bits of those rows of the full n x n matrices."""
+    return cdist(source_points[rows], source_points), cdist(target_points[rows], target_points)
 
 
-def _rigidity_from_lengths(d_s: np.ndarray, d_t: np.ndarray) -> np.ndarray:
+def pairwise_length_blocks(source_points: np.ndarray, target_points: np.ndarray, block_rows: int):
+    """Yield ``(rows, d_s, d_t)`` for consecutive slices ``rows`` of at most
+    ``block_rows`` correspondences: :func:`pairwise_lengths` of each block,
+    so the n x n matrices are never held at once."""
+    for start in range(0, len(source_points), block_rows):
+        rows = slice(start, start + block_rows)
+        yield rows, *pairwise_lengths(source_points, target_points, rows)
+
+
+def _rigidity_from_lengths(d_s: np.ndarray, d_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """min(d_s/d_t, d_t/d_s) per pair, 0 where either length is 0.
 
     Computed as min(d_s, d_t) / max(d_s, d_t) with the same bits: a
     correctly rounded a/b is at most 1 when a <= b and at least 1 when
     a >= b. A zero min gives 0 already, so only a zero max needs fixing.
-    The peak is four n x n matrices (d_s, d_t, the max and the output)
-    and the boolean mask of zero maxima.
+    Each entry depends on its own pair alone, so a row block of lengths
+    gives that block of the matrix; the peak is four arrays of the input's
+    shape (d_s, d_t, the max and the output, or ``out`` when given) and
+    the mask of zero maxima.
     """
     longer = np.maximum(d_s, d_t)
-    scores = np.minimum(d_s, d_t)
+    scores = np.minimum(d_s, d_t, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(scores, longer, out=scores)
     scores[longer == 0.0] = 0.0
     return scores
+
+
+def _residuals_from_lengths(d_s: np.ndarray, d_t: np.ndarray) -> np.ndarray:
+    """|d_s - d_t| per pair, written over ``d_s``."""
+    np.subtract(d_s, d_t, out=d_s)
+    return np.abs(d_s, out=d_s)
 
 
 def pairwise_rigidity(source_points: np.ndarray, target_points: np.ndarray) -> np.ndarray:
@@ -259,9 +278,7 @@ def pairwise_rigidity(source_points: np.ndarray, target_points: np.ndarray) -> n
 
 def pairwise_distance_residuals(source_points: np.ndarray, target_points: np.ndarray) -> np.ndarray:
     """Matrix of |d_s - d_t| residuals for all correspondence pairs."""
-    d_s, d_t = pairwise_lengths(source_points, target_points)
-    np.subtract(d_s, d_t, out=d_s)
-    return np.abs(d_s, out=d_s)
+    return _residuals_from_lengths(*pairwise_lengths(source_points, target_points))
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,14 @@ import numpy as np
 
 from .corr_model import (
     CorrespondenceSet,
+    _residuals_from_lengths,
     _rigidity_from_lengths,
-    pairwise_distance_residuals,
+    pairwise_length_blocks,
     pairwise_lengths,
-    pairwise_rigidity,
 )
+# The dense kernels, bound here so that perfbench's tracer can wrap these
+# names; st, gc and si work on row blocks instead.
+from .corr_model import pairwise_distance_residuals, pairwise_rigidity  # noqa: F401
 from .geom3d import (
     DegenerateSampleError,
     PointCloud,
@@ -386,6 +389,22 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
 
 
 # ---------------------------------------------------------------------------
+# Pairwise stages: st, gc and si
+# ---------------------------------------------------------------------------
+
+# Bytes of one block's (rows, n) float64 lengths in st and gc; rows >= 1.
+PAIRWISE_BLOCK_BYTES = 2**19
+
+# Bytes of st's n x n float64 matrix above which st raises before
+# allocating it (n <= 16 384).
+ST_MATRIX_BYTES = 2**31
+
+
+def _block_rows(n: int) -> int:
+    return max(1, PAIRWISE_BLOCK_BYTES // (8 * n))
+
+
+# ---------------------------------------------------------------------------
 # Spectral matching
 # ---------------------------------------------------------------------------
 
@@ -403,6 +422,9 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     per-round recomputation would strand the last member of every clique
     (its surviving submatrix is all zero) and lets smaller clusters win
     after the main one is exhausted.
+
+    M is the one n x n matrix held, filled from row blocks of lengths. A
+    matrix above ``ST_MATRIX_BYTES`` raises ValueError before allocation.
     """
     n = len(cset)
     if n == 0:
@@ -411,10 +433,17 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
         return GroupingResult((0,), scores={0: 1.0})
     _check_span(cset, "ST")
 
+    matrix_bytes = 8 * n * n
+    if matrix_bytes > ST_MATRIX_BYTES:
+        raise ValueError(f"ST: its {n} x {n} rigidity matrix needs {matrix_bytes} bytes, "
+                         f"above the limit of {ST_MATRIX_BYTES} bytes")
+
     src = cset.source_points
     tgt = cset.target_points
-    matrix = pairwise_rigidity(src, tgt)
-    matrix[matrix < params.t_st] = 0.0
+    matrix = np.empty((n, n))
+    for rows, d_s, d_t in pairwise_length_blocks(src, tgt, _block_rows(n)):
+        block = _rigidity_from_lengths(d_s, d_t, out=matrix[rows])
+        block[block < params.t_st] = 0.0
     np.fill_diagonal(matrix, 0.0)
     if not matrix.any():
         return GroupingResult(())
@@ -449,18 +478,24 @@ def group_gc(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     The cluster of a seed c is every correspondence whose segment-length
     residual against c stays below ``t_gc_pr`` resolutions, plus c itself.
     The biggest cluster wins; ties go to the lowest seed index.
+
+    Cluster sizes are counted in row blocks of residuals, and only the
+    winning seed's row is computed again for its members.
     """
     n = len(cset)
     if n == 0:
         return GroupingResult(())
     _check_span(cset, "GC")
     threshold = params.t_gc_pr * cset.source_resolution_pr
-    residuals = pairwise_distance_residuals(cset.source_points, cset.target_points)
-    compatible = residuals < threshold  # diagonal residual is 0, so seeds self-include
-    sizes = compatible.sum(axis=1)
-    seed = int(np.argmax(sizes))
-    members = np.flatnonzero(compatible[seed])
-    return GroupingResult(members)
+    src = cset.source_points
+    tgt = cset.target_points
+    # The diagonal residual is 0, so every seed counts itself.
+    sizes = np.empty(n, dtype=np.int64)
+    for rows, d_s, d_t in pairwise_length_blocks(src, tgt, _block_rows(n)):
+        sizes[rows] = np.count_nonzero(_residuals_from_lengths(d_s, d_t) < threshold, axis=1)
+    seed = int(np.argmax(sizes))  # the first maximum
+    residuals = _residuals_from_lengths(*pairwise_lengths(src, tgt, slice(seed, seed + 1)))
+    return GroupingResult(np.flatnonzero(residuals[0] < threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +551,8 @@ def _frame_motions(frames_s: np.ndarray, frames_t: np.ndarray) -> np.ndarray:
     return np.einsum("nji,njk->nik", frames_t, frames_s)
 
 
-# Bytes of one row block's (rows, kappa, 3) float64 array in si's global
-# vote; rows >= 1.
+# Bytes of one row block of si's float64 working arrays: a (rows, n) array of
+# lengths and a (rows, kappa, 3) array of mapped voters; rows >= 1.
 SI_BLOCK_BYTES = 3 * 2**19
 
 
@@ -532,6 +567,10 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     ``si_delta_pr`` resolutions of the voter's target point. The combined
     score is thresholded by Otsu's rule, which keeps everything when all
     scores are equal.
+
+    Candidates are scored in row blocks of at most ``SI_BLOCK_BYTES``: every
+    step up to the cutoff works on one candidate's row alone, so the blocks
+    keep the bits of the whole matrices.
     """
     n = len(cset)
     if n == 0:
@@ -547,47 +586,43 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
 
     src = cset.source_points
     tgt = cset.target_points
-    source_dist, target_dist = pairwise_lengths(src, tgt)
-    rigidity = _rigidity_from_lengths(source_dist, target_dist)
-    del target_dist
-
-    # kappa nearest neighbours per row by source-point distance (self
-    # excluded): every distance below the kappa-th smallest, then the ties
-    # at it in index order until kappa are taken.
-    np.fill_diagonal(source_dist, np.inf)
-    kth = np.partition(source_dist, kappa - 1, axis=1)[:, [kappa - 1]]
-    near = source_dist < kth
-    ties = source_dist == kth
-    del source_dist
-    near |= ties & (np.cumsum(ties, axis=1, dtype=np.int32)
-                    <= kappa - near.sum(axis=1, keepdims=True, dtype=np.int32))
-    del ties
-
-    near &= ratio_pass
-    local_voters = near.sum(axis=1)
-    local_votes = (near & (rigidity > params.si_sigma)).sum(axis=1)
-
     # Global voters: top-kappa ratio scores (stable sort, so ties by index).
     global_voters = np.argsort(-lowe, kind="stable")[:kappa]
     motions = _frame_motions(cset.source_frames, cset.target_frames)
     voter_src = src[global_voters]
     voter_tgt = tgt[global_voters]
     delta = params.si_delta_pr * cset.source_resolution_pr
-    # Rows in blocks whose (rows, kappa, 3) float64 arrays take at most
-    # SI_BLOCK_BYTES; the einsum reduces over k only, so blocks keep the bits.
-    rows = max(1, SI_BLOCK_BYTES // voter_src.nbytes)
+
+    local_voters = np.empty(n, dtype=np.int64)
+    local_votes = np.empty(n, dtype=np.int64)
     vote_mask = np.empty((n, kappa), dtype=bool)
-    for start in range(0, n, rows):
-        part = slice(start, start + rows)
-        mapped = np.einsum("nik,ngk->ngi", motions[part], voter_src[None, :, :] - src[part, None, :])
-        mapped += tgt[part, None, :]
+    block_rows = max(1, SI_BLOCK_BYTES // (8 * (n + 3 * kappa)))
+    for rows, source_dist, target_dist in pairwise_length_blocks(src, tgt, block_rows):
+        rigid = _rigidity_from_lengths(source_dist, target_dist) > params.si_sigma
+
+        # kappa nearest neighbours per row by source-point distance (self
+        # excluded): every distance below the kappa-th smallest, then the ties
+        # at it in index order until kappa are taken.
+        diagonal = np.arange(len(source_dist))
+        source_dist[diagonal, diagonal + rows.start] = np.inf
+        kth = np.partition(source_dist, kappa - 1, axis=1)[:, [kappa - 1]]
+        near = source_dist < kth
+        ties = source_dist == kth
+        near |= ties & (np.cumsum(ties, axis=1, dtype=np.int32)
+                        <= kappa - near.sum(axis=1, keepdims=True, dtype=np.int32))
+        near &= ratio_pass
+        local_voters[rows] = near.sum(axis=1)
+        local_votes[rows] = (near & rigid).sum(axis=1)
+
+        # The einsum reduces over k only, so its rows keep their bits in blocks.
+        mapped = np.einsum("nik,ngk->ngi", motions[rows], voter_src[None, :, :] - src[rows, None, :])
+        mapped += tgt[rows, None, :]
         mapped -= voter_tgt[None, :, :]
-        vote_mask[part] = ((rigidity[part, global_voters] > params.si_sigma)
-                           & (np.linalg.norm(mapped, axis=2) < delta))
+        vote_mask[rows] = rigid[:, global_voters] & (np.linalg.norm(mapped, axis=2) < delta)
     # A candidate in the voter pool trivially agrees with its own induced
     # motion; without the self-vote the zero self-rigidity (duplicate-pair
     # rule) would cap perfect candidates below score 1.
-    vote_mask |= global_voters[None, :] == np.arange(n)[:, None]
+    vote_mask[global_voters, np.arange(kappa)] = True
     global_votes = vote_mask.sum(axis=1)
 
     denominator = local_voters + kappa
