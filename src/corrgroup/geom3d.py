@@ -145,6 +145,32 @@ def apply_transform(transform: RigidTransform, cloud: PointCloud) -> PointCloud:
     return PointCloud(transform.apply(cloud.points))
 
 
+def _surely_not_collinear(centered: np.ndarray) -> np.ndarray:
+    """(k,) mask of the (k, m, 3) centered samples that pass the collinearity
+    rule of :func:`_fit_rigid_stack` for certain, read off G = C^T C.
+
+    G has eigenvalues s0^2 >= s1^2 >= s2^2, trace F = s0^2 + s1^2 + s2^2 and
+    principal 2 x 2 minors summing to S2 = s0^2 s1^2 + s0^2 s2^2 + s1^2 s2^2,
+    so S2 / F^2 <= 3 (s1 / s0)^2. A row passes when S2 > tol * F^2 with
+    tol = 1e-10 + 8 (m + 3) eps: the m-term sums in G and the few operations
+    after them move S2 by at most about (m + 2) eps F^2 and F^2 by about
+    (m + 4) eps F^2, so the exact S2 / F^2 exceeds 1e-10 and s1 / s0 > 5.7e-6,
+    far above the 1e-9 of the rule and the SVD's own error of a small multiple
+    of eps. The trace range keeps every product in G, F^2 and S2 normal and
+    finite; rows outside it, and NaN rows, do not pass.
+    """
+    m = centered.shape[1]
+    tol = 1e-10 + 8 * (m + 3) * np.finfo(np.float64).eps
+    # Overflow only makes rows that fail the trace range inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = centered.transpose(0, 2, 1) @ centered
+        diag = np.diagonal(gram, axis1=1, axis2=2)
+        trace = diag.sum(axis=1)
+        off = gram[:, [0, 1, 2], [1, 2, 0]]
+        s2 = (diag * diag[:, [1, 2, 0]] - off * off).sum(axis=1)
+        return (trace > 1e-100) & (trace < 1e100) & (s2 > tol * trace * trace)
+
+
 def _fit_rigid_stack(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares rigid fits of a (k, m, 3) stack of point pairs (Kabsch).
 
@@ -153,16 +179,24 @@ def _fit_rigid_stack(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
     degenerate when its source points are (near-)collinear: the rotation
     about the line is unconstrained. Each rotation is the SVD solution over
     centered coordinates with the determinant correction, so it is proper.
+
+    The collinearity rule is on the singular values s0 >= s1 of the centered
+    source points: degenerate when s0 <= 0 or s1 < 1e-9 * s0. A screen on
+    their Gram matrix G passes most samples without that SVD; every sample
+    it does not pass gets the SVD rule, so the verdicts are the rule's.
     """
     src_mean = source.mean(axis=1)
     tgt_mean = target.mean(axis=1)
     src_c = source - src_mean[:, None, :]
     tgt_c = target - tgt_mean[:, None, :]
 
-    # Collinearity check on the second singular value; the third is ~0 for
-    # any planar sample (e.g. every 3-point sample), which is fine.
-    sv = np.linalg.svd(src_c, compute_uv=False)
-    fitted = ~((sv[:, 0] <= 0.0) | (sv[:, 1] < 1e-9 * sv[:, 0]))
+    fitted = _surely_not_collinear(src_c)
+    rest = ~fitted
+    if rest.any():
+        # The third singular value is ~0 for any planar sample (e.g. every
+        # 3-point sample), which is fine.
+        sv = np.linalg.svd(src_c[rest], compute_uv=False)
+        fitted[rest] = ~((sv[:, 0] <= 0.0) | (sv[:, 1] < 1e-9 * sv[:, 0]))
     src_c, tgt_c, src_mean, tgt_mean = src_c[fitted], tgt_c[fitted], src_mean[fitted], tgt_mean[fitted]
 
     u, _, vt = np.linalg.svd(src_c.transpose(0, 2, 1) @ tgt_c)

@@ -273,8 +273,28 @@ def group_nnsr(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResu
 # RANSAC
 # ---------------------------------------------------------------------------
 
-# Bytes of one block's (B, 3, n) float64 residual array; B >= 1.
-RANSAC_BLOCK_BYTES = 3 * 2**19
+# Hypotheses drawn, fitted and checked together.
+RANSAC_FIT_STACK = 1024
+
+# Bytes of one consensus chunk's (B, 3, n) float64 residual array; B >= 1.
+RANSAC_BLOCK_BYTES = 2**19
+
+
+def _squared_limit(threshold: float) -> float:
+    """The largest double d with ``sqrt(d) < threshold``; -inf when there
+    is none (threshold <= 0 or NaN).
+
+    sqrt is correctly rounded, so monotone: for every d >= 0 (-0.0 and inf
+    included) and NaN, ``d <= limit`` is ``sqrt(d) < threshold``.
+    """
+    if not threshold > 0.0:
+        return -math.inf
+    limit = threshold * threshold
+    while not math.sqrt(limit) < threshold:
+        limit = math.nextafter(limit, -math.inf)
+    while math.sqrt(up := math.nextafter(limit, math.inf)) < threshold:
+        limit = up
+    return limit
 
 
 def _draw_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -339,9 +359,12 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
     inlier count (earliest iteration wins ties) is refit by least squares
     on its consensus set; the refit transform's consensus is returned.
 
-    Iterations run in blocks drawn from the one sample stream: a block's
-    samples are fitted together and their consensus counted exactly, with
-    the block sized so its residuals take at most ``RANSAC_BLOCK_BYTES``.
+    Iterations run in fit stacks of ``RANSAC_FIT_STACK`` from the one
+    sample stream: a stack's samples are drawn, fitted and checked together,
+    and its consensus is counted exactly in chunks of hypotheses sized so
+    their residuals take at most ``RANSAC_BLOCK_BYTES``. A squared residual
+    is compared with ``_squared_limit(threshold)``, which gives the verdict
+    of its square root against the threshold without taking it.
     """
     n = len(cset)
     if n < 3:
@@ -350,30 +373,34 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
     src = cset.source_points
     tgt = cset.target_points
     threshold = params.d_ransac_pr * cset.source_resolution_pr
+    limit = _squared_limit(threshold)
     rng = np.random.default_rng(params.rng_seed)
-    block = max(1, RANSAC_BLOCK_BYTES // src.nbytes)
+    chunk = max(1, RANSAC_BLOCK_BYTES // src.nbytes)
     # Coordinate-major points: each residual coordinate is a contiguous row.
     src_t = src.T.copy()
     tgt_t = tgt.T.copy()
 
     best_count = 0
-    for start in range(0, params.n_ransac, block):
-        samples = _draw_samples(rng, n, min(block, params.n_ransac - start))
+    for start in range(0, params.n_ransac, RANSAC_FIT_STACK):
+        samples = _draw_samples(rng, n, min(RANSAC_FIT_STACK, params.n_ransac - start))
         rot, tra, _ = _fit_rigid_stack(src[samples], tgt[samples])
         _check_rigid_stack(rot, tra)
-        residual = np.matmul(rot, src_t)
-        residual += tra[:, :, None]
-        residual -= tgt_t
-        residual *= residual
-        # (x + y) + z: the order in which ``sum(axis=-1)`` adds a length-3 axis.
-        dist = residual[:, 0] + residual[:, 1]
-        dist += residual[:, 2]
-        del residual  # freed before the next block allocates its residuals
-        inliers = np.sqrt(dist, out=dist) < threshold
-        counts = np.count_nonzero(inliers, axis=1)
-        if counts.max(initial=0) > best_count:
-            k = int(np.argmax(counts))
-            best_count, best_fit, consensus = int(counts[k]), (rot[k], tra[k]), inliers[k]
+        for lo in range(0, len(rot), chunk):
+            residual = np.matmul(rot[lo:lo + chunk], src_t)
+            residual += tra[lo:lo + chunk, :, None]
+            residual -= tgt_t
+            residual *= residual
+            # (x + y) + z: the order in which ``sum(axis=-1)`` adds a length-3 axis.
+            dist = residual[:, 0] + residual[:, 1]
+            dist += residual[:, 2]
+            inliers = dist <= limit
+            del residual, dist  # freed before the next chunk allocates its own
+            counts = np.count_nonzero(inliers, axis=1)
+            if counts.max(initial=0) > best_count:
+                k = int(np.argmax(counts))
+                # Copies: a view would keep this stack's arrays alive through the next.
+                best_count, consensus = int(counts[k]), inliers[k].copy()
+                best_fit = rot[lo + k].copy(), tra[lo + k].copy()
 
     if best_count == 0:
         return GroupingResult(())

@@ -13,12 +13,13 @@ consensus ties, so the earliest-iteration tie rule is exercised.
 give the same samples and leave the generator in the same state.
 """
 
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrgroup import (
@@ -26,6 +27,7 @@ from corrgroup import (
     CorrespondenceSet,
     RigidTransform,
     estimate_rigid_transform,
+    geom3d,
     group_ransac,
     grouping,
 )
@@ -319,3 +321,117 @@ def test_sample_draw_at_the_32_bit_edge(n):
     # 64-bit words, and the helper hands every block to the loop.
     fell_back = assert_draws_match_loop(7, n, [1, 2, 3])
     assert fell_back == (3 if n > 2**32 else 0)
+
+
+# ---------------------------------------------------------------------------
+# Fit stacks, consensus chunks, the collinearity screen and the squared bound
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+       inlier_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       offset=st.sampled_from([0.0, 1e6]), d_ransac_pr=st.sampled_from([0.5, 1.0, 2.5]),
+       stack=st.integers(1, 9), rows=st.integers(1, 9),
+       runs=st.sampled_from(["one", "stack-1", "stack+1", "3stack+7", "rows+1", "stack*rows+1"]))
+def test_ransac_matches_loop_across_stack_and_chunk_edges(seed, n, inlier_share, offset, d_ransac_pr,
+                                                          stack, rows, runs):
+    n_ransac = {"one": 1, "stack-1": max(1, stack - 1), "stack+1": stack + 1, "3stack+7": 3 * stack + 7,
+                "rows+1": rows + 1, "stack*rows+1": stack * rows + 1}[runs]
+    cset = grid_set(seed, n, inlier_share, offset)
+    params = AlgorithmParams(n_ransac=n_ransac, d_ransac_pr=d_ransac_pr, rng_seed=seed)
+    # Fit stacks of `stack` samples, counted in chunks of `rows` hypotheses.
+    with mock.patch.object(grouping, "RANSAC_FIT_STACK", stack), \
+            mock.patch.object(grouping, "RANSAC_BLOCK_BYTES", 24 * n * rows):
+        assert block_size(n) == rows
+        result = group_ransac(cset, params)
+    assert_same_result(result, ransac_loop_oracle(cset, params))
+
+
+def near_collinear_stack(seed, m, spread, offset):
+    """(k, m, 3) source samples along a random line, each pushed off it by a
+    share of the spread (1e-3 down to 1e-15, and 0), then one with a repeated
+    point, one on the line with a repeated point and one with no spread at
+    all; and random (k, m, 3) targets. Also returns the shares."""
+    rng = np.random.default_rng(seed)
+    line, normal = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+    shares = [10.0 ** -e for e in range(3, 16)] + [0.0]
+    samples = []
+    # Points spread over about [-1, 1] along the line, pushed off it to
+    # alternate sides, so that no sample is collinear by chance.
+    along = np.linspace(-1.0, 1.0, m)[:, None]
+    sides = (-1.0) ** np.arange(m)[:, None]
+    for share in shares:
+        jitter = rng.uniform(-0.25, 0.25, size=(m, 1))
+        off = sides * rng.uniform(0.5, 1.0, size=(m, 1)) * share
+        samples.append(((along + jitter) * line + off * normal) * spread)
+    repeated = rng.normal(size=(m, 3)) * spread
+    repeated[1] = repeated[0]
+    samples.append(repeated)
+    samples.append(np.vstack([along[:1], along[:-1]]) * line * spread)
+    samples.append(np.zeros((m, 3)))
+    src = np.array(samples) + offset
+    return src, rng.normal(size=src.shape) * spread + offset, shares
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([3, 7, 200]),
+       spread=st.sampled_from([1.0, 1e3, 1e-3, 1e-79]), offset=st.sampled_from([0.0, 1e6]))
+def test_collinearity_screen_keeps_the_svd_verdicts(seed, m, spread, offset):
+    src, tgt, _ = near_collinear_stack(seed, m, spread, offset)
+    rot, tra, fitted = _fit_rigid_stack(src, tgt)
+    expected = [rigid_fit_oracle(s, t) for s, t in zip(src, tgt)]
+    assert fitted.tolist() == [e is not None for e in expected]
+    kept = [e for e in expected if e is not None]
+    assert rot.tobytes() == np.array([r for r, _ in kept]).reshape(-1, 3, 3).tobytes()
+    assert tra.tobytes() == np.array([t for _, t in kept]).reshape(-1, 3).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_collinearity_screen_passes_clear_samples_only(seed):
+    # Offsets of 1e-3 of the spread pass the screen without an SVD; at 1e-7
+    # and below the screen passes nothing, and the SVD rule decides.
+    src, _, shares = near_collinear_stack(seed, 3, 1.0, 0.0)
+    screened = geom3d._surely_not_collinear(src - src.mean(axis=1)[:, None, :])
+    assert screened[0]
+    assert not screened[[k for k, share in enumerate(shares) if share <= 1e-7]].any()
+    assert not screened[-1]
+
+
+def ulps_around(x, count):
+    """x and the `count` doubles on either side of it."""
+    out, lo, hi = [x], x, x
+    with np.errstate(over="ignore"):
+        for _ in range(count):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            out += [lo, hi]
+    return np.array(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(min_value=5e-324, max_value=1e150))
+@example(t=5e-324)
+@example(t=1e-160)
+@example(t=1.4916681462400413e-154)
+@example(t=2.2250738585072014e-308)
+@example(t=5.0)
+@example(t=1e150)
+@example(t=math.inf)
+def test_squared_limit_gives_the_sqrt_verdict(t):
+    limit = grouping._squared_limit(t)
+    d = np.concatenate([ulps_around(t * t, 64), ulps_around(limit, 2), [0.0, -0.0, np.inf, np.nan]])
+    # A squared residual is a sum of squares: never below -0.0.
+    d = d[~(d < 0.0)]
+    with np.errstate(invalid="ignore"):
+        assert ((d <= limit) == (np.sqrt(d) < t)).all()
+
+
+def test_squared_limit_is_minus_infinity_without_a_bound():
+    for t in (0.0, -1.0, np.nan):
+        assert grouping._squared_limit(t) == -math.inf
+
+
+def test_ransac_memory_is_under_a_fixed_bound():
+    # A full run: fit stacks of RANSAC_FIT_STACK and chunks of at most
+    # RANSAC_BLOCK_BYTES of residuals.
+    for n in (1000, 4000):
+        assert ransac_peak_bytes(random_set(n), 10000) < 1.25 * 2**20
