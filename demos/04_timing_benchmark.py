@@ -17,6 +17,7 @@ from corrgroup import (
     InstanceSpec,
     time_algorithms,
 )
+from corrgroup.evaluation import blas_threads_line
 
 spec = InstanceSpec(
     model_kind="torus",
@@ -31,6 +32,7 @@ records = time_algorithms(
     sizes=(250, 500, 1000), algorithms=ALGORITHM_NAMES, spec=spec, repeats=5)
 
 sizes = sorted({r.n_initial for r in records})
+print(blas_threads_line())
 print(f"{'algorithm':>10s} " + " ".join(f"{n:>10d}" for n in sizes))
 for name in ALGORITHM_NAMES:
     cells = []

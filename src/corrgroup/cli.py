@@ -419,6 +419,7 @@ def cmd_bench(args) -> int:
     records = evaluation.time_algorithms(sizes, algorithms, spec, repeats, base_seed=seed)
     out_path = Path(_pick(args, "out", "bench.csv"))
     evaluation.write_csv(records, out_path)
+    print(evaluation.blas_threads_line())
     fmt = "{:<8} {:>8} {:>14}"
     print(fmt.format("algo", "n", "mean_time_ms"))
     for record in records:

@@ -22,6 +22,7 @@ import io
 import json
 import math
 import operator
+import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -309,6 +310,16 @@ def run_sweep(plan: SweepPlan, algorithms=ALGORITHM_NAMES, *, n_workers: int = 1
 # ---------------------------------------------------------------------------
 # Timing
 # ---------------------------------------------------------------------------
+
+def blas_threads_line() -> str:
+    """The BLAS thread settings a timing runs under, as one printable line.
+
+    The BLAS thread count moves the times of BLAS-backed stages such as
+    st's power iteration, though not any output, so a timing should name it.
+    """
+    return "BLAS threads: " + " ".join(
+        f"{name}={os.environ.get(name) or 'unset'}" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+
 
 def time_algorithms(
     sizes,

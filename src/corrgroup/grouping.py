@@ -128,6 +128,37 @@ class OtsuResult(NamedTuple):
     degenerate: bool
 
 
+def _otsu_edge(ordered: np.ndarray, lo: float, hi: float, exponent: int) -> float | None:
+    """The interior edge of maximal inter-class variance over the sorted
+    values, from ``lo`` to ``hi``, or None when a class sum or a variance
+    overflows float64.
+
+    With a nonzero ``exponent`` the edges and class sums are taken on the
+    values times 2**-exponent and the edges scaled back, which is exact;
+    class membership is decided on the values themselves.
+    """
+    if exponent:
+        scaled = np.ldexp(ordered, -exponent)
+        edges = np.ldexp(np.linspace(math.ldexp(lo, -exponent), math.ldexp(hi, -exponent), 257), exponent)
+    else:
+        scaled, edges = ordered, np.linspace(lo, hi, 257)
+    # c0[t] = #values strictly below edges[t+1], matching bin membership.
+    c0 = np.searchsorted(ordered, edges[1:256], side="left")
+    c1 = ordered.size - c0
+    valid = (c0 > 0) & (c1 > 0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        prefix = np.concatenate(([0.0], np.cumsum(scaled)))
+        s0 = prefix[c0]
+        s1 = prefix[-1] - s0
+        mean_diff = s0 / c0 - s1 / c1
+        variance = np.where(valid, c0 * c1 * mean_diff * mean_diff, -np.inf)
+    best = int(np.argmax(variance))
+    # An overflowed sum makes every valid variance inf or NaN; argmax finds either.
+    if not variance[best] < math.inf:
+        return None
+    return float(edges[1 + best])
+
+
 def otsu_threshold(values) -> OtsuResult:
     """Histogram threshold maximizing the inter-class variance.
 
@@ -135,6 +166,11 @@ def otsu_threshold(values) -> OtsuResult:
     over [min, max]; class statistics use the exact sample sums on each
     side of a candidate edge, and ties pick the lowest edge. A constant
     input is reported as degenerate with the constant as the threshold.
+
+    When the span, a class sum or a variance overflows float64 (values near
+    the float64 limit), the edges and sums are taken again on the values
+    scaled by a power of two into [-1, 1]. Every other input is computed
+    unscaled and keeps its bits.
     """
     vals = np.asarray(values, dtype=np.float64).ravel()
     if vals.size == 0:
@@ -145,22 +181,11 @@ def otsu_threshold(values) -> OtsuResult:
     if lo == hi:
         return OtsuResult(lo, True)
 
-    edges = np.linspace(lo, hi, 257)
     ordered = np.sort(vals)
-    prefix = np.concatenate(([0.0], np.cumsum(ordered)))
-    # c0[t] = #values strictly below edges[t+1], matching bin membership.
-    c0 = np.searchsorted(ordered, edges[1:256], side="left")
-    s0 = prefix[c0]
-    n = vals.size
-    total = prefix[-1]
-    c1 = n - c0
-    s1 = total - s0
-    valid = (c0 > 0) & (c1 > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean_diff = s0 / c0 - s1 / c1
-        variance = np.where(valid, c0 * c1 * mean_diff * mean_diff, -np.inf)
-    best = int(np.argmax(variance))
-    return OtsuResult(float(edges[1 + best]), False)
+    edge = _otsu_edge(ordered, lo, hi, 0) if math.isfinite(hi - lo) else None
+    if edge is None:
+        edge = _otsu_edge(ordered, lo, hi, math.frexp(max(-lo, hi))[1])
+    return OtsuResult(edge, False)
 
 
 def _check_span(cset: CorrespondenceSet, algorithm: str) -> None:
@@ -578,9 +603,40 @@ def _frame_motions(frames_s: np.ndarray, frames_t: np.ndarray) -> np.ndarray:
     return np.einsum("nji,njk->nik", frames_t, frames_s)
 
 
-# Bytes of one row block of si's float64 working arrays: a (rows, n) array of
-# lengths and a (rows, kappa, 3) array of mapped voters; rows >= 1.
+# Bytes of one row block of si's float64 working arrays, counted as a (rows, n)
+# array of lengths and three (rows, kappa) coordinate planes of the global
+# vote; rows >= 1.
 SI_BLOCK_BYTES = 3 * 2**19
+
+
+def _si_global_vote(motions: np.ndarray, src: np.ndarray, tgt: np.ndarray,
+                    voter_src_t: np.ndarray, voter_tgt_t: np.ndarray, limit: float) -> np.ndarray:
+    """(rows, kappa) mask: candidate r's frame motion carries voter g's source
+    point to within ``sqrt(limit)`` of g's target point (squared residual
+    ``d <= limit``).
+
+    ``motions``, ``src`` and ``tgt`` hold the block's rows; the voters come
+    coordinate-major, (3, kappa). Each residual coordinate is one (rows,
+    kappa) plane, summed as ``(M[i,0] X0 + M[i,2] X2) + M[i,1] X1`` with a
+    separate multiply and add per term, then ``+ tgt`` and ``- voter_tgt``:
+    the bits numpy's ``einsum("nik,ngk->ngi")`` gives, which
+    ``tests/test_si_vote.py`` keeps as the oracle. The squares add as
+    ``(x + y) + z``, the order of ``sum`` over a length-3 axis, so with
+    ``limit = _squared_limit(delta)`` the mask is ``norm(...) < delta``.
+    """
+    offsets = [voter_src_t[k] - src[:, k, None] for k in range(3)]
+    coord, term, dist = (np.empty_like(offsets[0]) for _ in range(3))
+    for i in range(3):
+        np.multiply(motions[:, i, 0, None], offsets[0], out=coord)
+        coord += np.multiply(motions[:, i, 2, None], offsets[2], out=term)
+        coord += np.multiply(motions[:, i, 1, None], offsets[1], out=term)
+        coord += tgt[:, i, None]
+        coord -= voter_tgt_t[i]
+        if i == 0:
+            np.multiply(coord, coord, out=dist)
+        else:
+            dist += np.multiply(coord, coord, out=term)
+    return dist <= limit
 
 
 def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult:
@@ -597,7 +653,9 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
 
     Candidates are scored in row blocks of at most ``SI_BLOCK_BYTES``: every
     step up to the cutoff works on one candidate's row alone, so the blocks
-    keep the bits of the whole matrices.
+    keep the bits of the whole matrices. A block's global vote runs on
+    (rows, kappa) coordinate planes (:func:`_si_global_vote`), its squared
+    residuals compared with ``_squared_limit(delta)`` in place of a norm.
     """
     n = len(cset)
     if n == 0:
@@ -616,9 +674,10 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     # Global voters: top-kappa ratio scores (stable sort, so ties by index).
     global_voters = np.argsort(-lowe, kind="stable")[:kappa]
     motions = _frame_motions(cset.source_frames, cset.target_frames)
-    voter_src = src[global_voters]
-    voter_tgt = tgt[global_voters]
-    delta = params.si_delta_pr * cset.source_resolution_pr
+    # Coordinate-major voters: each coordinate is one contiguous row.
+    voter_src_t = src[global_voters].T.copy()
+    voter_tgt_t = tgt[global_voters].T.copy()
+    limit = _squared_limit(params.si_delta_pr * cset.source_resolution_pr)
 
     local_voters = np.empty(n, dtype=np.int64)
     local_votes = np.empty(n, dtype=np.int64)
@@ -641,11 +700,8 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
         local_voters[rows] = near.sum(axis=1)
         local_votes[rows] = (near & rigid).sum(axis=1)
 
-        # The einsum reduces over k only, so its rows keep their bits in blocks.
-        mapped = np.einsum("nik,ngk->ngi", motions[rows], voter_src[None, :, :] - src[rows, None, :])
-        mapped += tgt[rows, None, :]
-        mapped -= voter_tgt[None, :, :]
-        vote_mask[rows] = rigid[:, global_voters] & (np.linalg.norm(mapped, axis=2) < delta)
+        vote_mask[rows] = rigid[:, global_voters] & _si_global_vote(
+            motions[rows], src[rows], tgt[rows], voter_src_t, voter_tgt_t, limit)
     # A candidate in the voter pool trivially agrees with its own induced
     # motion; without the self-vote the zero self-rigidity (duplicate-pair
     # rule) would cap perfect candidates below score 1.

@@ -342,6 +342,18 @@ class TestBench:
         assert all(r.wall_time_ns > 0 for r in records)
         assert "mean_time_ms" in capsys.readouterr().out
 
+    def test_prints_blas_thread_setting(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "bench.csv"
+        code = run_cli("bench", "--sizes", "40", "--repeats", "1", "--algo", "nnsr",
+                       "--model-points", "1200", "--out", str(out))
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "BLAS threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset" in lines
+        # The line goes to stdout only; the CSV keeps its columns.
+        assert "BLAS" not in out.read_text()
+
     def test_bad_sizes_exit_2(self, tmp_path):
         assert run_cli("bench", "--sizes", "x,y", "--out", str(tmp_path / "b.csv")) == 2
 

@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corrgroup import (
     AlgorithmParams,
@@ -77,6 +82,48 @@ class TestOtsu:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             otsu_threshold([])
+
+
+FLOAT_MAX = float(np.finfo(np.float64).max)
+NEAR_LIMIT = [FLOAT_MAX, -FLOAT_MAX, 1.7e308, -1.7e308, 1e308, -1e308, 5e307, 0.0, 5e-324]
+
+
+class TestOtsuNearTheFloatLimit:
+    """Values whose span, class sums or variances overflow float64 are scaled
+    by a power of two; the threshold still lies in [min, max] and no
+    overflow warning is raised."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(st.sampled_from(NEAR_LIMIT),
+                                     st.floats(min_value=-FLOAT_MAX, max_value=FLOAT_MAX)),
+                           min_size=2, max_size=40))
+    @example(values=[-1e308, 1e308])
+    @example(values=[1e308, 1.7e308])
+    @example(values=[FLOAT_MAX, -FLOAT_MAX])
+    @example(values=[FLOAT_MAX] * 3 + [1.7e308] * 3)
+    def test_threshold_within_the_values_without_warnings(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            threshold, degenerate = otsu_threshold(values)
+        assert math.isfinite(threshold)
+        assert min(values) <= threshold <= max(values)
+        assert degenerate == (min(values) == max(values))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_scaled_values_match_oracle(self, seed):
+        # A power-of-two scale is exact, so the oracle on the scaled values
+        # picks the same edge.
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, size=rng.integers(2, 60)) * FLOAT_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            threshold, _ = otsu_threshold(values)
+        assert threshold == np.ldexp(otsu_oracle(np.ldexp(values, -1024)), 1024)
+
+    def test_ss_keeps_the_upper_class(self):
+        sims = [-1e308, -5e307, 5e307, 1e308]
+        result = group_ss(scored_set(sims), AlgorithmParams())
+        assert result.inlier_indices == (2, 3)
 
 
 class TestPrincipalEigenvector:
