@@ -237,15 +237,6 @@ def pairwise_lengths(source_points: np.ndarray, target_points: np.ndarray,
     return cdist(source_points[rows], source_points), cdist(target_points[rows], target_points)
 
 
-def pairwise_length_blocks(source_points: np.ndarray, target_points: np.ndarray, block_rows: int):
-    """Yield ``(rows, d_s, d_t)`` for consecutive slices ``rows`` of at most
-    ``block_rows`` correspondences: :func:`pairwise_lengths` of each block,
-    so the n x n matrices are never held at once."""
-    for start in range(0, len(source_points), block_rows):
-        rows = slice(start, start + block_rows)
-        yield rows, *pairwise_lengths(source_points, target_points, rows)
-
-
 def _rigidity_from_lengths(d_s: np.ndarray, d_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """min(d_s/d_t, d_t/d_s) per pair, 0 where either length is 0.
 

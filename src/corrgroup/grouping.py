@@ -32,7 +32,6 @@ from .corr_model import (
     CorrespondenceSet,
     _residuals_from_lengths,
     _rigidity_from_lengths,
-    pairwise_length_blocks,
     pairwise_lengths,
 )
 # The dense kernels, bound here so that perfbench's tracer can wrap these
@@ -188,6 +187,19 @@ def otsu_threshold(values) -> OtsuResult:
     return OtsuResult(edge, False)
 
 
+# Bytes of the widest array of one block of rows (RANSAC hypotheses or
+# st, gc and si candidates); a block holds a few arrays of this size.
+BLOCK_BYTES = 2**19
+
+
+def _row_blocks(count: int, row_bytes: int):
+    """Yield consecutive slices covering ``range(count)`` in order, each of
+    ``max(1, BLOCK_BYTES // row_bytes)`` rows except perhaps the last."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
 def _check_span(cset: CorrespondenceSet, algorithm: str) -> None:
     """Raise ValueError when the set's lengths overflow float64 once squared.
 
@@ -236,9 +248,11 @@ def principal_eigenvector(matrix) -> tuple[np.ndarray, float]:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if m.size == 0:
+        raise ValueError("matrix is empty (0 x 0): it has no eigenvector")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if m.size and float(np.abs(m - m.T).max()) > 1e-9:
+    if float(np.abs(m - m.T).max()) > 1e-9:
         raise ValueError("matrix must be symmetric")
     if (m < 0).any():
         raise ValueError("matrix entries must be non-negative")
@@ -300,9 +314,6 @@ def group_nnsr(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResu
 
 # Hypotheses drawn, fitted and checked together.
 RANSAC_FIT_STACK = 1024
-
-# Bytes of one consensus chunk's (B, 3, n) float64 residual array; B >= 1.
-RANSAC_BLOCK_BYTES = 2**19
 
 
 def _squared_limit(threshold: float) -> float:
@@ -386,8 +397,9 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
 
     Iterations run in fit stacks of ``RANSAC_FIT_STACK`` from the one
     sample stream: a stack's samples are drawn, fitted and checked together,
-    and its consensus is counted exactly in chunks of hypotheses sized so
-    their residuals take at most ``RANSAC_BLOCK_BYTES``. A squared residual
+    and its consensus is counted exactly in row blocks of hypotheses
+    (:func:`_row_blocks`), each holding a few arrays the size of its
+    (rows, 3, n) residuals, at most ``BLOCK_BYTES``. A squared residual
     is compared with ``_squared_limit(threshold)``, which gives the verdict
     of its square root against the threshold without taking it.
     """
@@ -400,7 +412,6 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
     threshold = params.d_ransac_pr * cset.source_resolution_pr
     limit = _squared_limit(threshold)
     rng = np.random.default_rng(params.rng_seed)
-    chunk = max(1, RANSAC_BLOCK_BYTES // src.nbytes)
     # Coordinate-major points: each residual coordinate is a contiguous row.
     src_t = src.T.copy()
     tgt_t = tgt.T.copy()
@@ -410,22 +421,22 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
         samples = _draw_samples(rng, n, min(RANSAC_FIT_STACK, params.n_ransac - start))
         rot, tra, _ = _fit_rigid_stack(src[samples], tgt[samples])
         _check_rigid_stack(rot, tra)
-        for lo in range(0, len(rot), chunk):
-            residual = np.matmul(rot[lo:lo + chunk], src_t)
-            residual += tra[lo:lo + chunk, :, None]
+        for rows in _row_blocks(len(rot), src.nbytes):
+            residual = np.matmul(rot[rows], src_t)
+            residual += tra[rows, :, None]
             residual -= tgt_t
             residual *= residual
             # (x + y) + z: the order in which ``sum(axis=-1)`` adds a length-3 axis.
             dist = residual[:, 0] + residual[:, 1]
             dist += residual[:, 2]
             inliers = dist <= limit
-            del residual, dist  # freed before the next chunk allocates its own
+            del residual, dist  # freed before the next block allocates its own
             counts = np.count_nonzero(inliers, axis=1)
             if counts.max(initial=0) > best_count:
                 k = int(np.argmax(counts))
                 # Copies: a view would keep this stack's arrays alive through the next.
                 best_count, consensus = int(counts[k]), inliers[k].copy()
-                best_fit = rot[lo + k].copy(), tra[lo + k].copy()
+                best_fit = rot[rows.start + k].copy(), tra[rows.start + k].copy()
 
     if best_count == 0:
         return GroupingResult(())
@@ -444,16 +455,9 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
 # Pairwise stages: st, gc and si
 # ---------------------------------------------------------------------------
 
-# Bytes of one block's (rows, n) float64 lengths in st and gc; rows >= 1.
-PAIRWISE_BLOCK_BYTES = 2**19
-
 # Bytes of st's n x n float64 matrix above which st raises before
 # allocating it (n <= 16 384).
 ST_MATRIX_BYTES = 2**31
-
-
-def _block_rows(n: int) -> int:
-    return max(1, PAIRWISE_BLOCK_BYTES // (8 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +479,10 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     (its surviving submatrix is all zero) and lets smaller clusters win
     after the main one is exhausted.
 
-    M is the one n x n matrix held, filled from row blocks of lengths. A
-    matrix above ``ST_MATRIX_BYTES`` raises ValueError before allocation.
+    M is the one n x n matrix held, filled from row blocks of lengths
+    (:func:`_row_blocks`): a block holds a few (rows, n) float64 arrays of
+    at most ``BLOCK_BYTES`` each. A matrix above ``ST_MATRIX_BYTES`` raises
+    ValueError before allocation.
     """
     n = len(cset)
     if n == 0:
@@ -493,8 +499,8 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     src = cset.source_points
     tgt = cset.target_points
     matrix = np.empty((n, n))
-    for rows, d_s, d_t in pairwise_length_blocks(src, tgt, _block_rows(n)):
-        block = _rigidity_from_lengths(d_s, d_t, out=matrix[rows])
+    for rows in _row_blocks(n, 8 * n):
+        block = _rigidity_from_lengths(*pairwise_lengths(src, tgt, rows), out=matrix[rows])
         block[block < params.t_st] = 0.0
     np.fill_diagonal(matrix, 0.0)
     if not matrix.any():
@@ -543,8 +549,9 @@ def group_gc(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     tgt = cset.target_points
     # The diagonal residual is 0, so every seed counts itself.
     sizes = np.empty(n, dtype=np.int64)
-    for rows, d_s, d_t in pairwise_length_blocks(src, tgt, _block_rows(n)):
-        sizes[rows] = np.count_nonzero(_residuals_from_lengths(d_s, d_t) < threshold, axis=1)
+    for rows in _row_blocks(n, 8 * n):
+        residuals = _residuals_from_lengths(*pairwise_lengths(src, tgt, rows))
+        sizes[rows] = np.count_nonzero(residuals < threshold, axis=1)
     seed = int(np.argmax(sizes))  # the first maximum
     residuals = _residuals_from_lengths(*pairwise_lengths(src, tgt, slice(seed, seed + 1)))
     return GroupingResult(np.flatnonzero(residuals[0] < threshold))
@@ -603,12 +610,6 @@ def _frame_motions(frames_s: np.ndarray, frames_t: np.ndarray) -> np.ndarray:
     return np.einsum("nji,njk->nik", frames_t, frames_s)
 
 
-# Bytes of one row block of si's float64 working arrays, counted as a (rows, n)
-# array of lengths and three (rows, kappa) coordinate planes of the global
-# vote; rows >= 1.
-SI_BLOCK_BYTES = 3 * 2**19
-
-
 def _si_global_vote(motions: np.ndarray, src: np.ndarray, tgt: np.ndarray,
                     voter_src_t: np.ndarray, voter_tgt_t: np.ndarray, limit: float) -> np.ndarray:
     """(rows, kappa) mask: candidate r's frame motion carries voter g's source
@@ -651,9 +652,10 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     score is thresholded by Otsu's rule, which keeps everything when all
     scores are equal.
 
-    Candidates are scored in row blocks of at most ``SI_BLOCK_BYTES``: every
-    step up to the cutoff works on one candidate's row alone, so the blocks
-    keep the bits of the whole matrices. A block's global vote runs on
+    Candidates are scored in row blocks (:func:`_row_blocks`): a block holds
+    a few (rows, n) arrays of at most ``BLOCK_BYTES`` each, and every step up
+    to the cutoff works on one candidate's row alone, so the blocks keep the
+    bits of the whole matrices. A block's global vote runs on
     (rows, kappa) coordinate planes (:func:`_si_global_vote`), its squared
     residuals compared with ``_squared_limit(delta)`` in place of a norm.
     """
@@ -682,8 +684,8 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     local_voters = np.empty(n, dtype=np.int64)
     local_votes = np.empty(n, dtype=np.int64)
     vote_mask = np.empty((n, kappa), dtype=bool)
-    block_rows = max(1, SI_BLOCK_BYTES // (8 * (n + 3 * kappa)))
-    for rows, source_dist, target_dist in pairwise_length_blocks(src, tgt, block_rows):
+    for rows in _row_blocks(n, 8 * n):
+        source_dist, target_dist = pairwise_lengths(src, tgt, rows)
         rigid = _rigidity_from_lengths(source_dist, target_dist) > params.si_sigma
 
         # kappa nearest neighbours per row by source-point distance (self

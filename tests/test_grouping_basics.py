@@ -164,6 +164,10 @@ class TestPrincipalEigenvector:
         with pytest.raises(ValueError, match="non-negative"):
             principal_eigenvector(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"empty \(0 x 0\)"):
+            principal_eigenvector(np.zeros((0, 0)))
+
     def test_bipartite_star_does_not_converge(self):
         # Exactly symmetric +/- spectrum: power iteration oscillates.
         m = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

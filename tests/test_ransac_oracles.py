@@ -108,7 +108,7 @@ def grid_set(seed, n, inlier_share, offset, resolution=1.0):
 
 
 def block_size(n):
-    return max(1, grouping.RANSAC_BLOCK_BYTES // (24 * n))
+    return max(1, grouping.BLOCK_BYTES // (24 * n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,7 +122,7 @@ def test_ransac_matches_loop_across_block_edges(seed, n, inlier_share, offset, d
     cset = grid_set(seed, n, inlier_share, offset)
     params = AlgorithmParams(n_ransac=n_ransac, d_ransac_pr=d_ransac_pr, rng_seed=seed)
     # Blocks of `block` samples: the budget is counted in (n, 3) float64 arrays.
-    with mock.patch.object(grouping, "RANSAC_BLOCK_BYTES", 24 * n * block):
+    with mock.patch.object(grouping, "BLOCK_BYTES", 24 * n * block):
         assert block_size(n) == block
         result = group_ransac(cset, params)
     assert_same_result(result, ransac_loop_oracle(cset, params))
@@ -341,7 +341,7 @@ def test_ransac_matches_loop_across_stack_and_chunk_edges(seed, n, inlier_share,
     params = AlgorithmParams(n_ransac=n_ransac, d_ransac_pr=d_ransac_pr, rng_seed=seed)
     # Fit stacks of `stack` samples, counted in chunks of `rows` hypotheses.
     with mock.patch.object(grouping, "RANSAC_FIT_STACK", stack), \
-            mock.patch.object(grouping, "RANSAC_BLOCK_BYTES", 24 * n * rows):
+            mock.patch.object(grouping, "BLOCK_BYTES", 24 * n * rows):
         assert block_size(n) == rows
         result = group_ransac(cset, params)
     assert_same_result(result, ransac_loop_oracle(cset, params))
@@ -431,7 +431,7 @@ def test_squared_limit_is_minus_infinity_without_a_bound():
 
 
 def test_ransac_memory_is_under_a_fixed_bound():
-    # A full run: fit stacks of RANSAC_FIT_STACK and chunks of at most
-    # RANSAC_BLOCK_BYTES of residuals.
+    # A full run: fit stacks of RANSAC_FIT_STACK and blocks of at most
+    # BLOCK_BYTES of residuals.
     for n in (1000, 4000):
         assert ransac_peak_bytes(random_set(n), 10000) < 1.25 * 2**20

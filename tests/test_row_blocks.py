@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrgroup import AlgorithmParams, CorrespondenceSet, group_gc, group_si, group_st, grouping
+from corrgroup import AlgorithmParams, CorrespondenceSet, corr_model, group_gc, group_si, group_st, grouping
 from corrgroup.cli import main
-from corrgroup.corr_model import pairwise_distance_residuals, pairwise_length_blocks, pairwise_lengths
+from corrgroup.corr_model import pairwise_distance_residuals, pairwise_lengths
+from corrgroup.grouping import _row_blocks
 from test_grouping_geometric import st_dense_oracle, two_group_set
 from test_selection_oracles import QUARTER_TURNS, si_argsort_oracle, st_loop_oracle
 
@@ -32,13 +33,8 @@ def gc_dense_oracle(cset, params):
 
 
 def pairwise_blocks(n, rows):
-    """st's and gc's block budget for blocks of ``rows`` rows."""
-    return mock.patch.object(grouping, "PAIRWISE_BLOCK_BYTES", 8 * n * rows)
-
-
-def si_blocks(n, kappa, rows):
-    """si's block budget for blocks of ``rows`` rows."""
-    return mock.patch.object(grouping, "SI_BLOCK_BYTES", 8 * (n + 3 * kappa) * rows)
+    """The block budget of st, gc and si for blocks of ``rows`` rows."""
+    return mock.patch.object(grouping, "BLOCK_BYTES", 8 * n * rows)
 
 
 @st.composite
@@ -65,14 +61,23 @@ def grid_sets(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(points=st.integers(1, 9).flatmap(
-    lambda n: st.lists(st.integers(-2, 2), min_size=6 * n, max_size=6 * n)), rows=st.integers(1, 4))
-def test_length_blocks_are_the_rows_of_the_whole_matrices(points, rows):
+    lambda n: st.lists(st.integers(-2, 2), min_size=6 * n, max_size=6 * n)),
+    row_bytes=st.one_of(st.integers(grouping.BLOCK_BYTES // 4, 2 * grouping.BLOCK_BYTES),
+                        st.sampled_from([8, grouping.BLOCK_BYTES + 1, 2**40])))
+def test_length_blocks_are_the_rows_of_the_whole_matrices(points, row_bytes):
     src, tgt = np.array(points, dtype=np.float64).reshape(2, -1, 3)
+    n = len(src)
+    slices = list(_row_blocks(n, row_bytes))
+    # Every row once, in order, in blocks of the budgeted size but the last;
+    # a row wider than the budget is a block of its own.
+    step = max(1, grouping.BLOCK_BYTES // row_bytes)
+    assert [i for part in slices for i in range(n)[part]] == list(range(n))
+    assert [part.stop - part.start for part in slices[:-1]] == [step] * (len(slices) - 1)
+    assert 1 <= slices[-1].stop - slices[-1].start <= step
     d_s, d_t = pairwise_lengths(src, tgt)
-    blocks = list(pairwise_length_blocks(src, tgt, rows))
-    assert [part.start for part, _, _ in blocks] == list(range(0, len(src), rows))
-    assert np.vstack([b[1] for b in blocks]).tobytes() == d_s.tobytes()
-    assert np.vstack([b[2] for b in blocks]).tobytes() == d_t.tobytes()
+    blocks = [pairwise_lengths(src, tgt, part) for part in slices]
+    assert np.vstack([b[0] for b in blocks]).tobytes() == d_s.tobytes()
+    assert np.vstack([b[1] for b in blocks]).tobytes() == d_t.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,7 +145,7 @@ def test_gc_seed_tie_across_blocks_goes_to_lowest_seed(first, rows):
 def test_si_blocks_match_full_sort(cset, kappa, t_nnsr, rows):
     n = len(cset)
     params = AlgorithmParams(si_kappa={"1": 1, "n-1": max(1, n - 1), "250": 250}[kappa], t_nnsr=t_nnsr)
-    with si_blocks(n, min(params.si_kappa, n - 1), rows):
+    with pairwise_blocks(n, rows):
         result = group_si(cset, params)
     if n == 1:
         assert (result.inlier_indices, result.scores) == ((0,), {0: 0.0})
@@ -191,7 +196,7 @@ def test_st_holds_one_square_matrix():
     n = 2000
     result, peak = traced_peak(group_st, random_set(n))
     assert len(result) > 0
-    blocks = 5 * grouping.PAIRWISE_BLOCK_BYTES
+    blocks = 5 * grouping.BLOCK_BYTES
     assert peak <= 8 * n * n + blocks, f"peak of {(peak - 8 * n * n) / 2**20:.1f} MiB beyond the matrix"
 
 
@@ -219,3 +224,27 @@ def test_cli_reports_st_matrix_limit(tmp_path, capsys):
         code = main(["group", "--algo", "st", "--in", str(tmp_path / "case_corrs.txt")])
     assert code == 1
     assert f"needs {8 * 60 * 60} bytes" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The one length hook
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("algorithm", [group_st, group_gc, group_si], ids=["st", "gc", "si"])
+def test_every_length_call_goes_through_one_hook(algorithm):
+    # ``grouping.pairwise_lengths`` is the one name a tracer of the pairwise
+    # stages wraps: every cdist of the call comes through it, two per call,
+    # in blocks of the package's size (gc then takes its seed's row).
+    n = 1000
+    step = max(1, grouping.BLOCK_BYTES // (8 * n))
+    hook = mock.Mock(wraps=grouping.pairwise_lengths)
+    with mock.patch.object(grouping, "pairwise_lengths", hook), \
+            mock.patch.object(corr_model, "cdist", wraps=corr_model.cdist) as cdist:
+        result = algorithm(random_set(n), AlgorithmParams())
+    rows = [call.args[2] for call in hook.call_args_list]
+    blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    if algorithm is group_gc:
+        seed = rows.pop()
+        assert seed.stop == seed.start + 1 and seed.start in result.inlier_indices
+    assert rows == blocks
+    assert cdist.call_count == 2 * hook.call_count

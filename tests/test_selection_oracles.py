@@ -153,10 +153,13 @@ def float_set(seed, n, inlier_share):
 def test_si_row_blocks_match_one_einsum(seed, n, inlier_share, kappa, rows, si_delta_pr):
     cset = float_set(seed, n, inlier_share)
     params = AlgorithmParams(si_kappa=kappa, si_delta_pr=si_delta_pr, t_nnsr=0.5)
-    voters = min(kappa, n - 1)
-    # Blocks of `rows` rows: the budget is counted in (kappa, 3) float64 arrays.
-    with mock.patch.object(grouping, "SI_BLOCK_BYTES", 24 * voters * rows):
+    # Blocks of `rows` rows: the budget is counted in (rows, n) float64 arrays.
+    hook = mock.Mock(wraps=grouping.pairwise_lengths)
+    with mock.patch.object(grouping, "BLOCK_BYTES", 8 * n * rows), \
+            mock.patch.object(grouping, "pairwise_lengths", hook):
         result = group_si(cset, params)
+    sizes = [call.args[2].stop - call.args[2].start for call in hook.call_args_list]
+    assert sizes == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
     indices, scores = si_argsort_oracle(cset, params)
     assert result.inlier_indices == indices
     assert [f"{result.scores[i]:.17g}" for i in indices] == [f"{scores[i]:.17g}" for i in indices]

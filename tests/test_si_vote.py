@@ -75,8 +75,8 @@ def si_peak_bytes(n):
 
 
 def test_si_memory_is_under_a_fixed_bound():
-    # Measured at 4.20 MiB (n = 1000) and 7.00 MiB (n = 4000); the (rows,
-    # kappa, 3) vote before read 4.84 and 7.24. The bounds leave 0.3 MiB.
-    for n, bound in ((1000, 4.5 * 2**20), (4000, 7.3 * 2**20)):
+    # Measured at 2.59 MiB (n = 1000) and 3.57 MiB (n = 4000); the bounds
+    # leave 0.3 MiB.
+    for n, bound in ((1000, 2.9 * 2**20), (4000, 3.9 * 2**20)):
         peak = si_peak_bytes(n)
         assert peak < bound, f"n={n}: peak of {peak / 2**20:.2f} MiB"
