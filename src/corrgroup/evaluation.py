@@ -111,6 +111,12 @@ class EvaluationRecord:
                 raise ValueError(f"{name} must be non-negative")
         if self.n_correct > min(self.n_grouped, self.n_gt_inliers):
             raise ValueError("n_correct exceeds n_grouped or n_gt_inliers")
+        if self.n_grouped > self.n_initial:
+            raise ValueError("n_grouped exceeds n_initial")
+        for name in ("precision", "recall"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be None or in [0, 1], got {value!r}")
         if self.wall_time_ns < 0:
             raise ValueError("wall_time_ns must be non-negative")
 
@@ -439,4 +445,11 @@ def records_to_json(records) -> str:
 
 def records_from_json(text: str) -> list[EvaluationRecord]:
     """Parse the JSON array back into records; every row has every column."""
-    return [_record_from_row(row) for row in map(operator.itemgetter(*CSV_COLUMNS), json.loads(text))]
+    rows = json.loads(text)
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError("expected a JSON array of records")
+    for row in rows:
+        missing = [column for column in CSV_COLUMNS if column not in row]
+        if missing:
+            raise ValueError(f"record lacks column {missing[0]!r}")
+    return [_record_from_row(row) for row in map(operator.itemgetter(*CSV_COLUMNS), rows)]

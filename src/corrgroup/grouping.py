@@ -334,56 +334,22 @@ def _squared_limit(threshold: float) -> float:
 
 
 def _draw_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """``count`` calls of ``rng.choice(n, size=3, replace=False)`` as one
-    (count, 3) int64 array, leaving ``rng`` exactly where the calls would.
+    """``count`` ordered triples of distinct indices in [0, n), as a
+    (count, 3) int64 array.
 
-    Each call of numpy 2.x's ``Generator.choice`` makes five bounded draws:
-    Floyd's algorithm on [0, n-3], [0, n-2] and [0, n-1] (a repeat is
-    replaced by the bound), then a shuffle on [0, 2] and [0, 1]. Each draw is
-    Lemire's method on one 32-bit half of a PCG64 word, low half first, with
-    the unused high half kept in the bit generator's ``has_uint32`` and
-    ``uinteger``; the draw on [0, 0] (n = 3) takes no half. So the samples are
-    computed here from ``random_raw`` words. When any draw would be rejected
-    by Lemire's method, or n - 1 exceeds 32 bits (numpy then draws 64-bit
-    words), the state is restored and the calls are made one by one.
+    Each row is one draw of ``rng.integers(0, (n, n - 1, n - 2))``: the
+    second index skips the first, and the third skips both in ascending
+    order. The map from draws to triples is one-to-one, so every ordered
+    triple is equally likely. With array bounds ``integers`` keeps an unused
+    32-bit half for the next call, so blocks of any size give the stream of
+    one call of their sum.
     """
-    bitgen = rng.bit_generator
-    saved = bitgen.state
-    if n <= 2**32:
-        low = np.uint64(0xFFFFFFFF)
-        bounds = np.array([n - 2, n - 1, n, 3, 2][int(n == 3):], dtype=np.uint64)
-        need = bounds.size * count
-        carry = saved["has_uint32"]
-        words = bitgen.random_raw((need - carry + 1) // 2)
-        halves = np.empty(carry + 2 * words.size, dtype=np.uint64)
-        halves[:carry] = saved["uinteger"]
-        halves[carry::2] = words & low
-        halves[carry + 1::2] = words >> np.uint64(32)
-        # Lemire: a draw is the high 32 bits of half * bound, rejected when
-        # the low 32 bits fall below (2**32 - bound) % bound.
-        scaled = halves[:need].reshape(count, -1) * bounds
-        if not ((scaled & low) < (np.uint64(2**32) - bounds) % bounds).any():
-            draws = (scaled >> np.uint64(32)).astype(np.int64)
-            if n == 3:  # the draw on [0, 0] is 0
-                draws = np.hstack([np.zeros((count, 1), dtype=np.int64), draws])
-            samples = draws[:, :3].copy()
-            first, second, third = samples.T  # views: Floyd's repeats become the bound
-            second[second == first] = n - 2
-            third[(third == first) | (third == second)] = n - 1
-            rows = np.arange(count)
-            # The shuffle swaps position 2 with j on [0, 2], then 1 with j on [0, 1].
-            for i, j in ((2, draws[:, 3]), (1, draws[:, 4])):
-                swapped = samples[rows, j]
-                samples[rows, j] = samples[:, i]
-                samples[:, i] = swapped
-            state = bitgen.state
-            state["has_uint32"] = halves.size - need
-            if state["has_uint32"]:
-                state["uinteger"] = int(halves[-1])
-            bitgen.state = state
-            return samples
-        bitgen.state = saved
-    return np.array([rng.choice(n, size=3, replace=False) for _ in range(count)])
+    samples = rng.integers(0, (n, n - 1, n - 2), size=(count, 3))
+    a, b, c = samples.T  # views
+    b += b >= a
+    c += c >= np.minimum(a, b)
+    c += c >= np.maximum(a, b)
+    return samples
 
 
 def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult:

@@ -8,8 +8,6 @@ other properties and elements are skipped. The writer emits x/y/z as
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from .geom3d import PointCloud
@@ -174,7 +172,7 @@ def save_ply(cloud: PointCloud, path, *, binary: bool = False) -> None:
     with open(path, "wb") as handle:
         handle.write(("\n".join(header) + "\n").encode("ascii"))
         if binary:
-            handle.write(struct.pack(f"<{3 * n}d", *cloud.points.ravel()))
+            handle.write(cloud.points.astype("<f8").tobytes())
         else:
             rows = ["%.17g %.17g %.17g" % (x, y, z) for x, y, z in cloud.points]
             handle.write(("\n".join(rows) + ("\n" if rows else "")).encode("ascii"))

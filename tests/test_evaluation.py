@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,17 @@ class TestEvaluationRecordValidation:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             EvaluationRecord("ss", 4.0, None, None, -1, 0, 0, 0)
+
+    def test_rejects_more_grouped_than_initial(self):
+        with pytest.raises(ValueError, match="n_grouped exceeds n_initial"):
+            EvaluationRecord("ss", 4.0, None, None, 10, 50, 0, 0)
+
+    @pytest.mark.parametrize("field", ["precision", "recall"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, -0.5, float("inf")])
+    def test_rejects_a_ratio_outside_the_unit_interval(self, field, value):
+        ratios = {"precision": 1.0, "recall": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be None or in"):
+            EvaluationRecord("ss", 4.0, ratios["precision"], ratios["recall"], 10, 5, 5, 5)
 
 
 def small_plan(axis="inlier_ratio", levels=(0.3, 0.7), trials=2, **corr_overrides):
@@ -314,6 +327,29 @@ class TestSerialization:
     def test_csv_rejects_foreign_header(self):
         with pytest.raises(ValueError, match="header"):
             records_from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("precision,recall,counts,message", [
+        ("nan", "0.5", "10,5,5,10", "precision"),
+        ("2.5", "0.5", "10,5,5,10", "precision"),
+        ("0.5", "nan", "10,5,5,10", "recall"),
+        ("", "", "10,50,0,0", "n_grouped exceeds n_initial"),
+    ])
+    def test_csv_rejects_records_no_run_produces(self, precision, recall, counts, message):
+        text = records_to_csv([]) + f"ss,inlier_ratio,0.5,0,{counts},{precision},{recall},0\n"
+        with pytest.raises(ValueError, match=message):
+            records_from_csv(text)
+
+    @pytest.mark.parametrize("text", ["{}", '{"algorithm": "ss"}', "[1]", '"ss"'])
+    def test_json_rejects_anything_but_an_array_of_records(self, text):
+        with pytest.raises(ValueError, match="^expected a JSON array"):
+            records_from_json(text)
+
+    def test_json_names_the_missing_column(self):
+        with pytest.raises(ValueError, match="lacks column 'algorithm'"):
+            records_from_json("[{}]")
+        row = {column: None for column in evaluation.CSV_COLUMNS if column != "recall"}
+        with pytest.raises(ValueError, match="lacks column 'recall'"):
+            records_from_json(json.dumps([row]))
 
 
 @pytest.mark.parametrize("trials", [1.5, 2.0, True])
