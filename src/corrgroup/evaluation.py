@@ -63,6 +63,12 @@ _SCHEMA = (
     ("precision", float, True), ("recall", float, True), ("wall_time_ns", int, False),
 )
 CSV_COLUMNS, _COLUMN_TYPES, _OPTIONAL = zip(*_SCHEMA)
+# The types of the JSON values each column takes: a float column takes an
+# int too, no column takes a bool (JSON true is no count), and only an
+# optional column takes null.
+_JSON_TYPES = tuple(frozenset({kind, int} if kind is float else {kind}) | ({type(None)} if optional else set())
+                    for kind, optional in zip(_COLUMN_TYPES, _OPTIONAL))
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
 
 def _check_tolerance(value: float, name: str = "epsilon") -> None:
@@ -444,12 +450,23 @@ def records_to_json(records) -> str:
 
 
 def records_from_json(text: str) -> list[EvaluationRecord]:
-    """Parse the JSON array back into records; every row has every column."""
+    """Parse the JSON array back into records; every row has every column,
+    each value of the type its column takes (see ``_SCHEMA``)."""
     rows = json.loads(text)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError("expected a JSON array of records")
+    values_of = operator.itemgetter(*CSV_COLUMNS)
+    records = []
     for row in rows:
-        missing = [column for column in CSV_COLUMNS if column not in row]
-        if missing:
-            raise ValueError(f"record lacks column {missing[0]!r}")
-    return [_record_from_row(row) for row in map(operator.itemgetter(*CSV_COLUMNS), rows)]
+        try:
+            values = values_of(row)
+        except KeyError:
+            missing = next(column for column in CSV_COLUMNS if column not in row)
+            raise ValueError(f"record lacks column {missing!r}") from None
+        if not all(map(frozenset.__contains__, _JSON_TYPES, map(type, values))):
+            column, kind, optional = next(spec for spec, value, types in zip(_SCHEMA, values, _JSON_TYPES)
+                                          if type(value) not in types)
+            raise ValueError(f"record column {column!r} must be {_TYPE_NAMES[kind]}"
+                             f"{' or null' if optional else ''}, not {row[column]!r}")
+        records.append(_record_from_row(values))
+    return records

@@ -167,7 +167,10 @@ def _surely_not_collinear(centered: np.ndarray) -> np.ndarray:
         diag = np.diagonal(gram, axis1=1, axis2=2)
         trace = diag.sum(axis=1)
         off = gram[:, [0, 1, 2], [1, 2, 0]]
-        s2 = (diag * diag[:, [1, 2, 0]] - off * off).sum(axis=1)
+        s2 = diag * diag[:, [1, 2, 0]]
+        del gram, diag  # in place from here, to keep a stack's fit below RANSAC's memory peak
+        s2 -= np.square(off, out=off)
+        s2 = s2.sum(axis=1)
         return (trace > 1e-100) & (trace < 1e100) & (s2 > tol * trace * trace)
 
 
@@ -199,7 +202,10 @@ def _fit_rigid_stack(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
         fitted[rest] = ~((sv[:, 0] <= 0.0) | (sv[:, 1] < 1e-9 * sv[:, 0]))
     src_c, tgt_c, src_mean, tgt_mean = src_c[fitted], tgt_c[fitted], src_mean[fitted], tgt_mean[fitted]
 
-    u, _, vt = np.linalg.svd(src_c.transpose(0, 2, 1) @ tgt_c)
+    cross = src_c.transpose(0, 2, 1) @ tgt_c
+    del src_c, tgt_c  # freed before the SVD allocates its factors
+    u, singular, vt = np.linalg.svd(cross)
+    del cross, singular  # freed before the rotations are formed
     v = vt.transpose(0, 2, 1)
     rot = v @ u.transpose(0, 2, 1)
     flip = np.linalg.det(rot) < 0

@@ -352,6 +352,179 @@ def _draw_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return samples
 
 
+def _exact_consensus(rot: np.ndarray, tra: np.ndarray, src: np.ndarray, tgt: np.ndarray,
+                     limit: float) -> np.ndarray:
+    """(k, n) inlier masks of k hypotheses, by the arithmetic that defines
+    RANSAC's counts: coordinate-major residuals ``R p + t - q``, squared and
+    added as (x + y) + z, compared with ``limit``."""
+    # Coordinate-major points: each residual coordinate is a contiguous row.
+    residual = np.matmul(rot, src.T.copy())
+    residual += tra[:, :, None]
+    residual -= tgt.T.copy()
+    residual *= residual
+    # (x + y) + z: the order in which ``sum(axis=-1)`` adds a length-3 axis.
+    dist = residual[:, 0] + residual[:, 1]
+    dist += residual[:, 2]
+    del residual  # freed before the mask is allocated
+    return dist <= limit
+
+
+class _Screen(NamedTuple):
+    """What RANSAC's consensus screen fixes per call (:func:`_consensus_screen`)."""
+
+    src_mean: np.ndarray        # (3,) c_s
+    tgt_mean: np.ndarray        # (3,) c_t
+    src_spread: float           # P: the largest norm of a centred source point
+    spread: float               # P + Q, Q the same for the target points
+    offsets: float              # 2 (P + Q + |c_s| + |c_t|)
+    threshold: float
+    limit: float
+
+
+# u = EPS / 2 is the unit roundoff; a product that underflows is off by at
+# most ETA / 2, ETA the smallest subnormal.
+EPS = float(np.finfo(np.float64).eps)
+ETA = math.ulp(0.0)
+# Rows of the screen's table (:func:`_screen_table`).
+SCREEN_ROWS = 17
+
+
+def _consensus_screen(src: np.ndarray, tgt: np.ndarray, threshold: float, limit: float) -> _Screen:
+    """The centres and the per-call magnitudes of RANSAC's consensus screen.
+
+    With the points centred on their means, p' = p - c_s and q' = q - c_t,
+    and a hypothesis (R, t) moved to t' = R c_s + t - c_t, the squared
+    residual is
+
+        |R p' + t' - q'|^2 = |R p'|^2 + |q'|^2 + |t'|^2
+                             + 2 (R^T t').p' - 2 t'.q' - 2 vec(R).vec(q' p'^T),
+
+    a product of one row per hypothesis (:func:`_screen_rows`) with a table
+    of 17 rows per pair (:func:`_screen_table`), with |p'|^2 in place of
+    |R p'|^2. Centring keeps the table's entries, and so the screen's
+    rounding, at the size of the set rather than of its distance from the
+    origin.
+    """
+    src_mean = src.mean(axis=0)
+    tgt_mean = tgt.mean(axis=0)
+    p = src - src_mean
+    q = tgt - tgt_mean
+    src_spread = math.sqrt(np.einsum("ij,ij->i", p, p).max())
+    spread = src_spread + math.sqrt(np.einsum("ij,ij->i", q, q).max())
+    offsets = 2.0 * (spread + math.hypot(*src_mean) + math.hypot(*tgt_mean))
+    return _Screen(src_mean, tgt_mean, src_spread, spread, offsets, threshold, limit)
+
+
+def _screen_table(screen: _Screen, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """The (17, m) table of m pairs: p' (3 rows), q' (3), the nine products
+    q'_i p'_j (row 6 + 3 i + j), |p'|^2 + |q'|^2, and ones."""
+    table = np.empty((SCREEN_ROWS, len(src)))
+    np.subtract(src.T, screen.src_mean[:, None], out=table[0:3])
+    np.subtract(tgt.T, screen.tgt_mean[:, None], out=table[3:6])
+    np.multiply(table[3:6, None], table[None, 0:3], out=table[6:15].reshape(3, 3, -1))
+    np.einsum("ij,ij->j", table[0:6], table[0:6], out=table[15])
+    table[16] = 1.0
+    return table
+
+
+def _screen_rows(screen: _Screen, rot: np.ndarray, tra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 17) screen rows [2 R^T t', -2 t', -2 vec(R), 1, |t'|^2 - limit]
+    of k hypotheses, and each one's margin m.
+
+    A row times the table is z, a pair's screened squared residual less
+    ``limit``. Let ρ = R p' + t' - q' in exact arithmetic on the stored p',
+    q' and t', and D the squared residual of :func:`_exact_consensus`. The
+    margin makes z < -m prove D <= limit and z > m prove D > limit. It is
+    built from the bounds of Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3 (u = EPS / 2, γ_k = k u / (1 - k u)), with P, Q and T
+    the largest norms of p', q' and t':
+
+    * z is |ρ|^2 - limit within E = γ_27 Σ|c||x| + e P^2. The 17-term
+      product adds γ_17 to coefficients and entries each rounded by at most
+      γ_6 and γ_4; Σ|c||x| <= 2 K with K = (P + Q + T)^2 + limit; and e,
+      three times the largest entry of R^T R - I plus its rounding, bounds
+      the gap between |R p'|^2 and |p'|^2.
+    * The exact residual of the raw points is ρ plus the rounding of the
+      centring and of t'. The residual vector of :func:`_exact_consensus`
+      is within γ_5 (|R||p| + |t| + |q|) of the exact one. Together they
+      move |ρ| by at most ε = 8 EPS (2 (P + Q + |c_s| + |c_t|) + |t|).
+    * D is that vector's squared norm within a factor 1 ± γ_3.
+
+    So m = 32 EPS K + e P^2 + 4 ε (τ + ε) + 8 EPS (τ + ε)^2, τ the
+    threshold, decides every pair when m < limit: then ε < √limit, and
+    an outlier at the edge has |ρ|^2 below 2 limit. Underflow adds at most
+    ETA / 2 per product, which 64 ETA (1 + P + Q + T)^2 in m and 16 ETA in ε
+    cover. Every partial sum of z is below 2.1 K, so z is finite when 4 K
+    is. A margin that is not finite and below ``limit`` becomes inf: then
+    the screen decides none of the hypothesis's pairs.
+    """
+    k = len(rot)
+    gram = rot.transpose(0, 2, 1) @ rot
+    gram -= np.eye(3)
+    gram = np.abs(gram, out=gram).max(axis=(1, 2))
+    moved = rot @ screen.src_mean + tra - screen.tgt_mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved_sq = np.einsum("ij,ij->i", moved, moved)
+        reach = screen.spread + np.sqrt(moved_sq)
+        slack = 8 * EPS * (screen.offsets + np.sqrt(np.einsum("ij,ij->i", tra, tra))) + 16 * ETA
+        edge = screen.threshold + slack
+        margin = (32 * EPS * (reach * reach + screen.limit)
+                  + 3 * (gram + 4 * EPS) * screen.src_spread ** 2
+                  + 4 * slack * edge + 8 * EPS * edge * edge + 64 * ETA * (1 + reach) ** 2)
+        margin[~(4 * (reach * reach + screen.limit) < np.inf) | ~(margin < screen.limit)] = np.inf
+        del gram, reach, slack, edge  # freed before the coefficients are allocated
+
+        coef = np.empty((k, SCREEN_ROWS))
+        np.matmul(moved[:, None, :], rot, out=coef[:, None, 0:3])
+        coef[:, 0:3] *= 2.0
+        np.multiply(moved, -2.0, out=coef[:, 3:6])
+        np.multiply(rot.reshape(k, 9), -2.0, out=coef[:, 6:15])
+        coef[:, 15] = 1.0
+        np.subtract(moved_sq, screen.limit, out=coef[:, 16])
+    return coef, margin
+
+
+def _consensus_counts(screen: _Screen, rot: np.ndarray, tra: np.ndarray,
+                      src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """Consensus counts of a stack of hypotheses: those of
+    :func:`_exact_consensus`, read off the screen where its margin decides
+    every pair of a hypothesis, and recounted by that function where a pair
+    lies within the margin or its screened value is not finite.
+
+    The table is built in column blocks of at most half of ``BLOCK_BYTES``
+    and the hypotheses taken in the row blocks of the recount
+    (:func:`_row_blocks`), whose (rows, 3, n) residuals are at most
+    ``BLOCK_BYTES``, so a block's (rows, columns) screened values are at
+    most a third of it. A block compares with the largest margin of its
+    rows, which holds for each of them. The recount starts once the table
+    is freed.
+    """
+    n = len(src)
+    coef, margin = _screen_rows(screen, rot, tra)
+    counts = np.zeros(len(rot), dtype=np.intp)
+    recount = np.zeros(len(rot), dtype=bool)
+    # A product that overflows gives inf or NaN, which the recount takes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cols in _row_blocks(n, 2 * 8 * SCREEN_ROWS):
+            table = _screen_table(screen, src[cols], tgt[cols])
+            for rows in _row_blocks(len(rot), src.nbytes):
+                bound = float(margin[rows].max())
+                screened = coef[rows] @ table
+                inside = screened < -bound
+                outside = screened > bound
+                del screened  # freed before the next block allocates its own
+                counts[rows] += inside.view(np.uint8).sum(axis=1, dtype=np.uint32)
+                # NaN is neither inside nor outside, and an infinite bound decides nothing.
+                if np.count_nonzero(inside) + np.count_nonzero(outside) < inside.size:
+                    recount[rows] |= ~(inside | outside).all(axis=1)
+            del table
+    redo = np.flatnonzero(recount)
+    for rows in _row_blocks(len(redo), src.nbytes):
+        counts[redo[rows]] = np.count_nonzero(
+            _exact_consensus(rot[redo[rows]], tra[redo[rows]], src, tgt, screen.limit), axis=1)
+    return counts
+
+
 def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult:
     """Random 3-sample consensus over the correspondence set.
 
@@ -362,12 +535,14 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
     on its consensus set; the refit transform's consensus is returned.
 
     Iterations run in fit stacks of ``RANSAC_FIT_STACK`` from the one
-    sample stream: a stack's samples are drawn, fitted and checked together,
-    and its consensus is counted exactly in row blocks of hypotheses
-    (:func:`_row_blocks`), each holding a few arrays the size of its
-    (rows, 3, n) residuals, at most ``BLOCK_BYTES``. A squared residual
-    is compared with ``_squared_limit(threshold)``, which gives the verdict
-    of its square root against the threshold without taking it.
+    sample stream: a stack's samples are drawn, fitted and checked together.
+    Consensus counts are those of :func:`_exact_consensus`, which compares
+    squared residuals with ``_squared_limit(threshold)``: that gives the
+    verdict of each square root against the threshold without taking it.
+    They are read off a screen, one small matrix product per block of
+    hypotheses (:func:`_consensus_counts`), and recounted where the screen's
+    proven margin does not decide a pair. The winner's consensus is
+    computed again by :func:`_exact_consensus`.
     """
     n = len(cset)
     if n < 3:
@@ -378,35 +553,25 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
     threshold = params.d_ransac_pr * cset.source_resolution_pr
     limit = _squared_limit(threshold)
     rng = np.random.default_rng(params.rng_seed)
-    # Coordinate-major points: each residual coordinate is a contiguous row.
-    src_t = src.T.copy()
-    tgt_t = tgt.T.copy()
+    screen = _consensus_screen(src, tgt, threshold, limit)
 
     best_count = 0
     for start in range(0, params.n_ransac, RANSAC_FIT_STACK):
         samples = _draw_samples(rng, n, min(RANSAC_FIT_STACK, params.n_ransac - start))
         rot, tra, _ = _fit_rigid_stack(src[samples], tgt[samples])
+        del samples  # freed before the consensus blocks allocate theirs
         _check_rigid_stack(rot, tra)
-        for rows in _row_blocks(len(rot), src.nbytes):
-            residual = np.matmul(rot[rows], src_t)
-            residual += tra[rows, :, None]
-            residual -= tgt_t
-            residual *= residual
-            # (x + y) + z: the order in which ``sum(axis=-1)`` adds a length-3 axis.
-            dist = residual[:, 0] + residual[:, 1]
-            dist += residual[:, 2]
-            inliers = dist <= limit
-            del residual, dist  # freed before the next block allocates its own
-            counts = np.count_nonzero(inliers, axis=1)
-            if counts.max(initial=0) > best_count:
-                k = int(np.argmax(counts))
-                # Copies: a view would keep this stack's arrays alive through the next.
-                best_count, consensus = int(counts[k]), inliers[k].copy()
-                best_fit = rot[rows.start + k].copy(), tra[rows.start + k].copy()
+        counts = _consensus_counts(screen, rot, tra, src, tgt)
+        if counts.max(initial=0) > best_count:
+            k = int(np.argmax(counts))
+            # Copies: a view would keep this stack's arrays alive through the next.
+            best_count, best_fit = int(counts[k]), (rot[k].copy(), tra[k].copy())
+        del rot, tra  # freed before the next stack is fitted
 
     if best_count == 0:
         return GroupingResult(())
 
+    consensus = _exact_consensus(best_fit[0][None], best_fit[1][None], src, tgt, limit)[0]
     best = RigidTransform(*best_fit)
     if best_count >= 3:
         try:

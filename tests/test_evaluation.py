@@ -351,6 +351,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="lacks column 'recall'"):
             records_from_json(json.dumps([row]))
 
+    @pytest.mark.parametrize("column,value,message", [
+        ("n_initial", "10", "'n_initial' must be an integer, not '10'"),
+        ("precision", "1.0", "'precision' must be a number or null, not '1.0'"),
+        ("n_gt", 10.7, "'n_gt' must be an integer, not 10.7"),
+        ("n_correct", True, "'n_correct' must be an integer, not True"),
+    ])
+    def test_json_names_the_column_of_a_mistyped_value(self, column, value, message):
+        row = json.loads(records_to_json(self.sample_records()))[0]
+        row[column] = value
+        with pytest.raises(ValueError, match=f"^record column {message}$"):
+            records_from_json(json.dumps([row]))
+
 
 @pytest.mark.parametrize("trials", [1.5, 2.0, True])
 def test_plan_rejects_non_integer_trials(trials):

@@ -461,3 +461,162 @@ def test_ransac_memory_is_under_a_fixed_bound():
     # BLOCK_BYTES of residuals.
     for n in (1000, 4000):
         assert ransac_peak_bytes(random_set(n), 10000) < 1.25 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The consensus screen: its margin, the recount and the float64 edges
+# ---------------------------------------------------------------------------
+
+def chunk_counts(rot, tra, src, tgt, limit):
+    """Consensus counts by the chunk arithmetic: coordinate-major residuals,
+    squared, added as (x + y) + z and compared with the squared bound."""
+    residual = np.matmul(rot, src.T.copy())
+    residual += tra[:, :, None]
+    residual -= tgt.T.copy()
+    residual *= residual
+    dist = residual[:, 0] + residual[:, 1]
+    dist += residual[:, 2]
+    return np.count_nonzero(dist <= limit, axis=1)
+
+
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def edge_set(seed, n, offset, d_ransac_pr):
+    """Targets an exact rigid motion of the sources, half of them pushed off
+    by a squared length within 8 ulps of the squared limit. Also returns the
+    motion."""
+    rng = np.random.default_rng(seed)
+    rot = random_rotation(rng)
+    tra = rng.normal(size=3) * 10.0
+    src = rng.normal(size=(n, 3)) * 10.0 + offset
+    tgt = src @ rot.T + tra
+    limit = grouping._squared_limit(d_ransac_pr)
+    squared = limit + rng.integers(-8, 9, size=n) * math.ulp(limit)
+    push = rng.normal(size=(n, 3))
+    push *= (np.sqrt(squared) / np.linalg.norm(push, axis=1))[:, None]
+    edge = rng.random(n) < 0.5
+    tgt[edge] += push[edge]
+    ones = np.ones(n)
+    return CorrespondenceSet.from_arrays(src, tgt, ones, ones, ones, 1.0), rot, tra
+
+
+def recounted(cset, params):
+    """The result of ``group_ransac``, and the number of hypotheses of each
+    call to ``grouping._exact_consensus`` it made."""
+    spy = mock.Mock(wraps=grouping._exact_consensus)
+    with mock.patch.object(grouping, "_exact_consensus", spy):
+        result = group_ransac(cset, params)
+    return result, [len(call.args[0]) for call in spy.call_args_list]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), offset=st.sampled_from([0.0, 1e6]),
+       d_ransac_pr=st.sampled_from([0.5, 1.0, 2.5, 5.0]), rows=st.integers(1, 9))
+def test_screened_counts_match_the_chunk_arithmetic_at_the_limit(seed, n, offset, d_ransac_pr, rows):
+    cset, rot, tra = edge_set(seed, n, offset, d_ransac_pr)
+    src, tgt = cset.source_points, cset.target_points
+    limit = grouping._squared_limit(d_ransac_pr)
+    # The exact motion, the motion moved by an ulp, and fits of drawn samples.
+    samples = grouping._draw_samples(np.random.default_rng(seed), n, 40)
+    fit_rot, fit_tra, _ = _fit_rigid_stack(src[samples], tgt[samples])
+    rots = np.concatenate([rot[None], rot[None], fit_rot])
+    tras = np.concatenate([tra[None], np.nextafter(tra, np.inf)[None], fit_tra])
+    screen = grouping._consensus_screen(src, tgt, d_ransac_pr, limit)
+    with mock.patch.object(grouping, "BLOCK_BYTES", 24 * n * rows):
+        counts = grouping._consensus_counts(screen, rots, tras, src, tgt)
+    assert counts.tolist() == chunk_counts(rots, tras, src, tgt, limit).tolist()
+    # The winner's mask, the refit and the transform.
+    params = AlgorithmParams(n_ransac=30, d_ransac_pr=d_ransac_pr, rng_seed=seed)
+    assert_same_result(group_ransac(cset, params), ransac_loop_oracle(cset, params))
+
+
+def test_pairs_within_the_margin_are_recounted():
+    # Fits of three pairs that were not pushed off put the pushed pairs within
+    # a few ulps of the limit, inside the margin.
+    cset, _, _ = edge_set(0, 40, 1e6, 1.0)
+    params = AlgorithmParams(n_ransac=200, d_ransac_pr=1.0, rng_seed=0)
+    result, sizes = recounted(cset, params)
+    # The last call is the winner's mask; the others are recounts.
+    assert sizes[-1] == 1 and sum(sizes[:-1]) > 0
+    assert_same_result(result, ransac_loop_oracle(cset, params))
+
+
+def test_a_screen_that_decides_every_pair_recounts_nothing():
+    # Far from the limit the screen decides: only the winner's mask is computed.
+    assert recounted(random_set(1000), AlgorithmParams(n_ransac=2000))[1] == [1]
+
+
+def scaled_set(seed, n, scale, resolution, axes=(1.0, 1.0, 1.0)):
+    """Random sources in the box of half-sides ``scale * axes``; half the
+    targets are a half turn (odd seeds) or the identity of them plus noise of
+    a tenth of the resolution, the others random points of the same box. The
+    box of sources and targets together is the sources' box."""
+    rng = np.random.default_rng(seed)
+    half_sides = scale * np.array(axes)
+    src = rng.uniform(-1.0, 1.0, size=(n, 3)) * half_sides
+    tgt = src @ QUARTER_TURNS[2 * (seed % 2)].T
+    tgt += rng.normal(size=(n, 3)) * 0.1 * resolution
+    tgt[n // 2:] = rng.uniform(-1.0, 1.0, size=(n - n // 2, 3)) * half_sides
+    ones = np.ones(n)
+    return CorrespondenceSet.from_arrays(src, tgt, ones, ones, ones, resolution)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ransac_matches_loop_near_the_overflow_edge(seed):
+    # A span of about 5.8e153 along x, just inside the span check's edge of
+    # 6.7e153: the squared residuals stay finite, but K = (P + Q + T)^2
+    # overflows for many fits, and those hypotheses are recounted.
+    cset = scaled_set(seed, 60, 2.9e153, 5.8e151, axes=(1.0, 0.1, 0.1))
+    grouping._check_span(cset, "RANSAC")
+    params = AlgorithmParams(n_ransac=300, rng_seed=seed)
+    assert_same_result(group_ransac(cset, params), ransac_loop_oracle(cset, params))
+    src, tgt = cset.source_points, cset.target_points
+    threshold = params.d_ransac_pr * cset.source_resolution_pr
+    samples = grouping._draw_samples(np.random.default_rng(seed), 60, 300)
+    rot, tra, _ = _fit_rigid_stack(src[samples], tgt[samples])
+    _, margin = grouping._screen_rows(
+        grouping._consensus_screen(src, tgt, threshold, grouping._squared_limit(threshold)), rot, tra)
+    assert np.isinf(margin).any() and np.isfinite(margin).any()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_screened_values_that_overflow_are_recounted(seed):
+    # Beyond the span check, |p'|^2 + |q'|^2 and q'^T R p' overflow, so the
+    # screened values are inf or NaN, while the residuals of the identity
+    # motion are small: every inlier must still be counted.
+    cset = scaled_set(0, 40, 1e154, 1e150)
+    src, tgt = cset.source_points, cset.target_points
+    limit = grouping._squared_limit(5e150)
+    rot = np.repeat(np.eye(3)[None], 2, axis=0)
+    tra = np.zeros((2, 3))
+    tra[1, 0] = 1e150 * seed
+    screen = grouping._consensus_screen(src, tgt, 5e150, limit)
+    coef, _ = grouping._screen_rows(screen, rot, tra)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(coef @ grouping._screen_table(screen, src, tgt)).all()
+    # The outliers' squared residuals overflow too, to inf: outside the limit.
+    with np.errstate(over="ignore"):
+        expected = chunk_counts(rot, tra, src, tgt, limit)
+        counts = grouping._consensus_counts(screen, rot, tra, src, tgt)
+    assert expected[0] >= 20
+    assert counts.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-154, 1e-158, 1e-159])
+@pytest.mark.parametrize("seed", range(3))
+def test_ransac_matches_loop_with_a_subnormal_limit(scale, seed):
+    # Residuals of about a thousandth of the scale: their squares, and the
+    # squared limit, are subnormal. At 1e-154 the screen decides every pair,
+    # at 1e-158 it leaves some to the recount, and at 1e-159 its margin is
+    # above the limit, so every hypothesis is recounted.
+    cset = scaled_set(seed, 60, scale, scale / 1000)
+    threshold = 5 * cset.source_resolution_pr
+    assert 0.0 < grouping._squared_limit(threshold) < np.finfo(np.float64).tiny
+    params = AlgorithmParams(n_ransac=300, rng_seed=seed)
+    result = group_ransac(cset, params)
+    assert len(result) > 0
+    assert_same_result(result, ransac_loop_oracle(cset, params))
