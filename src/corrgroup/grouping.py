@@ -536,6 +536,8 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
 
     Iterations run in fit stacks of ``RANSAC_FIT_STACK`` from the one
     sample stream: a stack's samples are drawn, fitted and checked together.
+    The fits and the refit are those of ``geom3d._fit_rigid_stack``: Horn's
+    closed form, with the SVD for the samples it does not certify.
     Consensus counts are those of :func:`_exact_consensus`, which compares
     squared residuals with ``_squared_limit(threshold)``: that gives the
     verdict of each square root against the threshold without taking it.
@@ -682,7 +684,7 @@ def group_gc(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     sizes = np.empty(n, dtype=np.int64)
     for rows in _row_blocks(n, 8 * n):
         residuals = _residuals_from_lengths(*pairwise_lengths(src, tgt, rows))
-        sizes[rows] = np.count_nonzero(residuals < threshold, axis=1)
+        sizes[rows] = (residuals < threshold).view(np.uint8).sum(axis=1, dtype=np.uint32)
     seed = int(np.argmax(sizes))  # the first maximum
     residuals = _residuals_from_lengths(*pairwise_lengths(src, tgt, slice(seed, seed + 1)))
     return GroupingResult(np.flatnonzero(residuals[0] < threshold))

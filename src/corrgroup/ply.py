@@ -174,5 +174,5 @@ def save_ply(cloud: PointCloud, path, *, binary: bool = False) -> None:
         if binary:
             handle.write(cloud.points.astype("<f8").tobytes())
         else:
-            rows = ["%.17g %.17g %.17g" % (x, y, z) for x, y, z in cloud.points]
+            rows = ["%.17g %.17g %.17g" % (x, y, z) for x, y, z in cloud.points.tolist()]
             handle.write(("\n".join(rows) + ("\n" if rows else "")).encode("ascii"))

@@ -1,12 +1,16 @@
-"""Block-batched RANSAC and the stacked Kabsch fit against the loops they
+"""Block-batched RANSAC and the stacked rigid fit against the loops they
 replace.
 
-``rigid_fit_oracle`` is the scalar Kabsch fit of one point sample, and
-``ransac_loop_oracle`` is RANSAC as one fit, one ``apply`` and one residual
-norm per iteration. Both must agree with the package bit for bit: inlier
-indices, ``rotation.tobytes()`` and ``translation.tobytes()``. Integer-grid
-keypoints give duplicate keypoints, collinear (degenerate) samples and exact
-consensus ties, so the earliest-iteration tie rule is exercised.
+``rigid_fit_oracle`` is the scalar fit of one point sample: the closed-form
+rule (``horn_oracle``, Horn's unit quaternion) in Python floats and in the
+kernel's order of operations, with the SVD rule (``kabsch_rotation``) for
+the samples the closed form does not certify. ``ransac_loop_oracle`` is
+RANSAC as one fit, one ``apply`` and one residual norm per iteration. Both
+must agree with the package bit for bit: inlier indices,
+``rotation.tobytes()`` and ``translation.tobytes()``. Integer-grid keypoints
+give duplicate keypoints, collinear (degenerate) samples and exact consensus
+ties, so the earliest-iteration tie rule is exercised. ``kabsch_oracle``, the
+SVD fit of every sample, is the tolerance oracle of the closed form.
 
 ``scalar_draw`` is one iteration's sample, drawn with a scalar
 ``Generator.integers`` call and the skip rule in Python ints.
@@ -42,8 +46,103 @@ QUARTER_TURNS = np.array([np.linalg.matrix_power([[0, -1, 0], [1, 0, 0], [0, 0, 
 MIRROR = np.diag([1.0, 1.0, -1.0])
 
 
-def rigid_fit_oracle(src, tgt):
-    """(rotation, translation) of the scalar Kabsch fit; None when degenerate."""
+def kabsch_rotation(cross):
+    """The SVD rule: the rotation maximising tr(R H), with the determinant fix."""
+    u, _, vt = np.linalg.svd(cross)
+    v = vt.T
+    rot = v @ u.T
+    if np.linalg.det(rot) < 0:
+        v = v.copy()
+        v[:, -1] *= -1.0
+        rot = v @ u.T
+    return rot
+
+
+def nan_sqrt(v):
+    """``math.sqrt`` with numpy's NaN for negative and NaN arguments."""
+    return math.sqrt(v) if v >= 0.0 else math.nan
+
+
+def horn_oracle(cross):
+    """The closed-form rotation of one cross-covariance H, in Python floats;
+    None when the rule does not certify it."""
+    entries = cross.ravel().tolist()
+    if not all(map(math.isfinite, entries)) or not any(entries):
+        return None
+    scale = math.frexp(max(abs(v) for v in entries))[1]
+    sxx, sxy, sxz, syx, syy, syz, szx, szy, szz = (math.ldexp(v, -scale) for v in entries)
+    ss = sxx * sxx
+    for v in (sxy, sxz, syx, syy, syz, szx, szy, szz):
+        ss = ss + v * v
+    det = sxx * (syy * szz - syz * szy) - sxy * (syx * szz - syz * szx) + sxz * (syx * szy - syy * szx)
+    n01, n02, n03 = syz - szy, szx - sxz, sxy - syx
+    n12, n13, n23 = sxy + syx, szx + sxz, syz + szy
+    a = [[sxx + syy + szz, n01, n02, n03], [n01, sxx - syy - szz, n12, n13],
+         [n02, n12, syy - sxx - szz, n23], [n03, n13, n23, szz - sxx - syy]]
+
+    def minors(r0, r1):
+        return {(i, j): a[r0][i] * a[r1][j] - a[r0][j] * a[r1][i] for i in range(4) for j in range(i + 1, 4)}
+
+    top, low = minors(0, 1), minors(2, 3)
+    c0 = (((((top[0, 1] * low[2, 3] - top[0, 2] * low[1, 3]) + top[0, 3] * low[1, 2])
+            + top[1, 2] * low[0, 3]) - top[1, 3] * low[0, 2]) + top[2, 3] * low[0, 1])
+    c2 = -2.0 * ss
+    c1 = -8.0 * det
+    floor = geom3d.HORN_CERTIFY * geom3d.HORN_CERTIFY * (ss * ss * ss)
+
+    # The start: the biquadratic's root raised by 2^-20 where f, f' and f''
+    # are positive there, sqrt(3) |H|_F otherwise.
+    x = nan_sqrt(0.5 * (nan_sqrt(c2 * c2 - 4.0 * c0) - c2)) * (1.0 + 2.0 ** -20)
+    t = x * x
+    if not ((((t + c2) * x + c1) * x + c0 > 0.0) and ((4.0 * t + 2.0 * c2) * x + c1 > 0.0)
+            and (12.0 * t + 2.0 * c2 > 0.0)):
+        x = math.sqrt(3.0 * ss)
+    # Newton: a step of at most 1e-10 x is followed by one more.
+    final = False
+    for _ in range(geom3d._HORN_MAX_STEPS):
+        t = x * x
+        slope = (4.0 * t + 2.0 * c2) * x + c1
+        if slope * slope < floor:
+            return None
+        step = (((t + c2) * x + c1) * x + c0) / slope
+        x = x - step
+        if final:
+            break
+        final = not abs(step) > geom3d._HORN_STEP_TOL * x
+    else:
+        return None
+
+    for i in range(4):
+        a[i][i] = a[i][i] - x
+    best = best_sq = None
+    for pair, cols in (((2, 3), (0, 1)), ((0, 1), (2, 3))):
+        minor = minors(*pair)
+        for row in cols[::-1]:
+            column = []
+            for i in range(4):
+                k0, k1, k2 = (c for c in range(4) if c != i)
+                entry = a[row][k0] * minor[k1, k2] - a[row][k1] * minor[k0, k2] + a[row][k2] * minor[k0, k1]
+                column.append(-entry if i % 2 else entry)
+            sq = ((column[0] * column[0] + column[1] * column[1]) + column[2] * column[2]) + column[3] * column[3]
+            if best is None or sq > best_sq:
+                best, best_sq = column, sq
+    if not floor <= best_sq < math.inf:
+        return None
+
+    w, x, y, z = best
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    norm = ((ww + xx) + yy) + zz
+    two = 2.0 / norm
+    return np.array([
+        [((ww + xx) - (yy + zz)) / norm, (x * y - w * z) * two, (x * z + w * y) * two],
+        [(x * y + w * z) * two, ((ww + yy) - (xx + zz)) / norm, (y * z - w * x) * two],
+        [(x * z - w * y) * two, (y * z + w * x) * two, ((ww + zz) - (xx + yy)) / norm],
+    ])
+
+
+def centered_fit(src, tgt):
+    """(means, cross-covariance) of a sample; None when the collinearity rule
+    calls it degenerate."""
     src_mean = src.mean(axis=0)
     tgt_mean = tgt.mean(axis=0)
     src_c = src - src_mean
@@ -51,13 +150,29 @@ def rigid_fit_oracle(src, tgt):
     sv = np.linalg.svd(src_c, compute_uv=False)
     if sv[0] <= 0.0 or sv[1] < 1e-9 * sv[0]:
         return None
-    u, _, vt = np.linalg.svd(src_c.T @ tgt_c)
-    v = vt.T
-    rot = v @ u.T
-    if np.linalg.det(rot) < 0:
-        v = v.copy()
-        v[:, -1] *= -1.0
-        rot = v @ u.T
+    return src_mean, tgt_mean, src_c.T @ tgt_c
+
+
+def rigid_fit_oracle(src, tgt):
+    """(rotation, translation) of the scalar fit: the closed form where it
+    certifies the sample, the SVD rule otherwise; None when degenerate."""
+    fit = centered_fit(src, tgt)
+    if fit is None:
+        return None
+    src_mean, tgt_mean, cross = fit
+    rot = horn_oracle(cross)
+    if rot is None:
+        rot = kabsch_rotation(cross)
+    return rot, tgt_mean - rot @ src_mean
+
+
+def kabsch_oracle(src, tgt):
+    """(rotation, translation) of the SVD fit; None when degenerate."""
+    fit = centered_fit(src, tgt)
+    if fit is None:
+        return None
+    src_mean, tgt_mean, cross = fit
+    rot = kabsch_rotation(cross)
     return rot, tgt_mean - rot @ src_mean
 
 
@@ -193,18 +308,118 @@ def test_reflections_and_degenerate_samples_are_covered():
     assert rigid_fit_oracle(*kabsch_pair(1, 10, "collinear")) is None
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 40), offset=st.sampled_from([0.0, 1e6]))
-def test_stacked_fits_match_scalar_fits(seed, k, offset):
+# ---------------------------------------------------------------------------
+# The closed form against the SVD fit
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(np.float64).eps
+HORN_KINDS = ["turn", "half-turn", "mirror", "collinear", "coincident"]
+
+
+def horn_sample(seed, m, kind, noise, scale):
+    """A sample of m pairs: a random turn, a half turn (quaternion w = 0), a
+    mirror image, targets on a line or all at one point, each with Gaussian
+    noise of ``noise``; both sides times ``scale`` and moved by 1e6 spreads."""
     rng = np.random.default_rng(seed)
-    src = rng.integers(-2, 3, size=(k, 3, 3)).astype(np.float64) + offset
-    tgt = rng.integers(-2, 3, size=(k, 3, 3)).astype(np.float64) + offset
+    src = rng.normal(size=(m, 3))
+    turn = random_rotation(rng)
+    if kind == "half-turn":
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        turn = 2.0 * np.outer(axis, axis) - np.eye(3)
+    if kind == "mirror":
+        turn = turn @ MIRROR
+    tgt = {"collinear": rng.normal(size=(m, 1)) * rng.normal(size=3),
+           "coincident": np.repeat(rng.normal(size=(1, 3)), m, axis=0)}.get(kind, src @ turn.T)
+    tgt = tgt + rng.normal(size=(m, 3)) * noise
+    return (src + 1e6) * scale, (tgt + 1e6) * scale
+
+
+def horn_matrix(h):
+    """Horn's 4 x 4 matrix of a 3 x 3 cross-covariance."""
+    (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = h
+    return np.array([[sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
+                     [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
+                     [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
+                     [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([3, 4, 10, 100]), kind=st.sampled_from(HORN_KINDS),
+       noise=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.1]), scale=st.sampled_from([1.0, 1e-160, 1e150]))
+@example(seed=0, m=3, kind="half-turn", noise=0.0, scale=1.0)
+@example(seed=0, m=10, kind="mirror", noise=0.0, scale=1e-160)
+@example(seed=0, m=4, kind="collinear", noise=0.0, scale=1e150)
+def test_certified_fits_reach_the_svd_fit(seed, m, kind, noise, scale):
+    # Near 1e150 the products of H are near the overflow edge; near 1e-160
+    # H is subnormal.
+    src, tgt = horn_sample(seed, m, kind, noise, scale)
+    expected = rigid_fit_oracle(src, tgt)
+    rot, tra, fitted = _fit_rigid_stack(src[None], tgt[None])
+    assert fitted.tolist() == [expected is not None]
+    if expected is None:
+        return
+    assert rot[0].tobytes() == expected[0].tobytes() and tra[0].tobytes() == expected[1].tobytes()
+    cross = centered_fit(src, tgt)[2]
+    svd, svd_tra = kabsch_oracle(src, tgt)
+    if not geom3d._horn_rotations(cross[None])[1][0]:
+        assert rot[0].tobytes() == svd.tobytes() and tra[0].tobytes() == svd_tra.tobytes()
+        return
+    # H at unit norm, exactly scaled first so that a subnormal H keeps its bits.
+    h = np.ldexp(cross, -np.frexp(np.abs(cross).max())[1])
+    h /= np.linalg.norm(h)
+    lam = np.linalg.eigvalsh(horn_matrix(h))[::-1]
+    gap = lam[0] - lam[1]
+    product = gap * (lam[0] - lam[2]) * (lam[0] - lam[3])
+    # The rotation: rounding of a few ulps, plus the error the root's
+    # rounding puts into the eigenvector, eps / (gap (l1 - l2)(l1 - l3)(l1 - l4)).
+    assert np.abs(rot[0] - svd).max() <= 128 * EPS * (1.0 + 1.0 / (gap * product))
+    # The least-squares objective |P|^2 + |Q|^2 - 2 tr(R H): tr(R H) within
+    # the rounding of R's entries.
+    assert np.trace(rot[0] @ h) >= np.trace(svd @ h) - 32 * EPS
+
+
+def assert_stack_matches_scalar_fits(src, tgt):
     rot, tra, fitted = _fit_rigid_stack(src, tgt)
     expected = [rigid_fit_oracle(s, t) for s, t in zip(src, tgt)]
     assert fitted.tolist() == [e is not None for e in expected]
     kept = [e for e in expected if e is not None]
     assert rot.tobytes() == np.array([r for r, _ in kept]).reshape(-1, 3, 3).tobytes()
     assert tra.tobytes() == np.array([t for _, t in kept]).reshape(-1, 3).tobytes()
+
+
+def test_closed_form_and_svd_rows_are_both_covered():
+    # Half turns and noisy mirrors are certified; targets on a line or at one
+    # point are not, and take the SVD rule.
+    src, tgt = (np.array(side) for side in zip(*[
+        horn_sample(seed, 10, kind, noise, 1.0) for seed in range(4)
+        for kind, noise in (("half-turn", 0.0), ("mirror", 0.1), ("collinear", 0.0), ("coincident", 0.0))]))
+    cross = np.array([centered_fit(s, t)[2] for s, t in zip(src, tgt)])
+    assert geom3d._horn_rotations(cross)[1].tolist() == [True, True, False, False] * 4
+    assert_stack_matches_scalar_fits(src, tgt)
+
+
+def test_a_triple_top_eigenvalue_takes_the_svd_rule_with_its_determinant_fix():
+    # A regular octahedron and its mirror image: H = 2 diag(1, 1, -1), whose
+    # Horn matrix has eigenvalues 2, 2, 2 and -6.
+    src = np.vstack([np.eye(3), -np.eye(3)]) + 1.0
+    tgt = src @ MIRROR.T
+    cross = centered_fit(src, tgt)[2]
+    assert not geom3d._horn_rotations(cross[None])[1][0]
+    u, _, vt = np.linalg.svd(cross)
+    assert np.linalg.det(vt.T @ u.T) < 0
+    rot, tra, _ = _fit_rigid_stack(src[None], tgt[None])
+    assert rot[0].tobytes() == kabsch_oracle(src, tgt)[0].tobytes()
+    assert tra[0].tobytes() == kabsch_oracle(src, tgt)[1].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 40), offset=st.sampled_from([0.0, 1e6]))
+def test_stacked_fits_match_scalar_fits(seed, k, offset):
+    rng = np.random.default_rng(seed)
+    src = rng.integers(-2, 3, size=(k, 3, 3)).astype(np.float64) + offset
+    tgt = rng.integers(-2, 3, size=(k, 3, 3)).astype(np.float64) + offset
+    assert_stack_matches_scalar_fits(src, tgt)
 
 
 def test_stack_check_raises_the_first_faulty_pair_first_fault():
@@ -404,12 +619,7 @@ def near_collinear_stack(seed, m, spread, offset):
        spread=st.sampled_from([1.0, 1e3, 1e-3, 1e-79]), offset=st.sampled_from([0.0, 1e6]))
 def test_collinearity_screen_keeps_the_svd_verdicts(seed, m, spread, offset):
     src, tgt, _ = near_collinear_stack(seed, m, spread, offset)
-    rot, tra, fitted = _fit_rigid_stack(src, tgt)
-    expected = [rigid_fit_oracle(s, t) for s, t in zip(src, tgt)]
-    assert fitted.tolist() == [e is not None for e in expected]
-    kept = [e for e in expected if e is not None]
-    assert rot.tobytes() == np.array([r for r, _ in kept]).reshape(-1, 3, 3).tobytes()
-    assert tra.tobytes() == np.array([t for _, t in kept]).reshape(-1, 3).tobytes()
+    assert_stack_matches_scalar_fits(src, tgt)
 
 
 @pytest.mark.parametrize("seed", range(5))
