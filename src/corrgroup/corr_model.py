@@ -165,8 +165,13 @@ class CorrespondenceSet:
         return cset
 
     def _replace(self, **changes) -> "CorrespondenceSet":
-        columns = {f.name: getattr(self, f.name) for f in fields(self)}
-        return CorrespondenceSet.from_arrays(**(columns | changes))
+        """The set with some fields changed, on the same read-only columns,
+        without the cached ``items``. Only changes that keep every row valid
+        are made: the ground truth, and both frame stacks set to None."""
+        cset = object.__new__(CorrespondenceSet)
+        for f in fields(self):
+            object.__setattr__(cset, f.name, changes.get(f.name, getattr(self, f.name)))
+        return cset
 
     def __len__(self) -> int:
         return len(self.similarities)

@@ -427,9 +427,11 @@ def _screen_table(screen: _Screen, src: np.ndarray, tgt: np.ndarray) -> np.ndarr
     return table
 
 
-def _screen_rows(screen: _Screen, rot: np.ndarray, tra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _screen_rows(screen: _Screen, rot: np.ndarray, tra: np.ndarray,
+                 gram_error: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (k, 17) screen rows [2 R^T t', -2 t', -2 vec(R), 1, |t'|^2 - limit]
-    of k hypotheses, and each one's margin m.
+    of k hypotheses, and each one's margin m, given the (k,) largest
+    |entry| of R^T R - I that ``geom3d._check_rigid_stack`` returns.
 
     A row times the table is z, a pair's screened squared residual less
     ``limit``. Let ρ = R p' + t' - q' in exact arithmetic on the stored p',
@@ -442,7 +444,7 @@ def _screen_rows(screen: _Screen, rot: np.ndarray, tra: np.ndarray) -> tuple[np.
     * z is |ρ|^2 - limit within E = γ_27 Σ|c||x| + e P^2. The 17-term
       product adds γ_17 to coefficients and entries each rounded by at most
       γ_6 and γ_4; Σ|c||x| <= 2 K with K = (P + Q + T)^2 + limit; and e,
-      three times the largest entry of R^T R - I plus its rounding, bounds
+      three times that largest entry plus its rounding, bounds
       the gap between |R p'|^2 and |p'|^2.
     * The exact residual of the raw points is ρ plus the rounding of the
       centring and of t'. The residual vector of :func:`_exact_consensus`
@@ -459,9 +461,6 @@ def _screen_rows(screen: _Screen, rot: np.ndarray, tra: np.ndarray) -> tuple[np.
     the screen decides none of the hypothesis's pairs.
     """
     k = len(rot)
-    gram = rot.transpose(0, 2, 1) @ rot
-    gram -= np.eye(3)
-    gram = np.abs(gram, out=gram).max(axis=(1, 2))
     moved = rot @ screen.src_mean + tra - screen.tgt_mean
     with np.errstate(over="ignore", invalid="ignore"):
         moved_sq = np.einsum("ij,ij->i", moved, moved)
@@ -469,10 +468,10 @@ def _screen_rows(screen: _Screen, rot: np.ndarray, tra: np.ndarray) -> tuple[np.
         slack = 8 * EPS * (screen.offsets + np.sqrt(np.einsum("ij,ij->i", tra, tra))) + 16 * ETA
         edge = screen.threshold + slack
         margin = (32 * EPS * (reach * reach + screen.limit)
-                  + 3 * (gram + 4 * EPS) * screen.src_spread ** 2
+                  + 3 * (gram_error + 4 * EPS) * screen.src_spread ** 2
                   + 4 * slack * edge + 8 * EPS * edge * edge + 64 * ETA * (1 + reach) ** 2)
         margin[~(4 * (reach * reach + screen.limit) < np.inf) | ~(margin < screen.limit)] = np.inf
-        del gram, reach, slack, edge  # freed before the coefficients are allocated
+        del reach, slack, edge  # freed before the coefficients are allocated
 
         coef = np.empty((k, SCREEN_ROWS))
         np.matmul(moved[:, None, :], rot, out=coef[:, None, 0:3])
@@ -484,7 +483,7 @@ def _screen_rows(screen: _Screen, rot: np.ndarray, tra: np.ndarray) -> tuple[np.
     return coef, margin
 
 
-def _consensus_counts(screen: _Screen, rot: np.ndarray, tra: np.ndarray,
+def _consensus_counts(screen: _Screen, rot: np.ndarray, tra: np.ndarray, gram_error: np.ndarray,
                       src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """Consensus counts of a stack of hypotheses: those of
     :func:`_exact_consensus`, read off the screen where its margin decides
@@ -500,7 +499,7 @@ def _consensus_counts(screen: _Screen, rot: np.ndarray, tra: np.ndarray,
     is freed.
     """
     n = len(src)
-    coef, margin = _screen_rows(screen, rot, tra)
+    coef, margin = _screen_rows(screen, rot, tra, gram_error)
     counts = np.zeros(len(rot), dtype=np.intp)
     recount = np.zeros(len(rot), dtype=bool)
     # A product that overflows gives inf or NaN, which the recount takes.
@@ -536,15 +535,14 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
 
     Iterations run in fit stacks of ``RANSAC_FIT_STACK`` from the one
     sample stream: a stack's samples are drawn, fitted and checked together.
-    The fits and the refit are those of ``geom3d._fit_rigid_stack``: Horn's
-    closed form, with the SVD for the samples it does not certify.
-    Consensus counts are those of :func:`_exact_consensus`, which compares
-    squared residuals with ``_squared_limit(threshold)``: that gives the
-    verdict of each square root against the threshold without taking it.
-    They are read off a screen, one small matrix product per block of
-    hypotheses (:func:`_consensus_counts`), and recounted where the screen's
-    proven margin does not decide a pair. The winner's consensus is
-    computed again by :func:`_exact_consensus`.
+    The fits are those of ``geom3d._fit_rigid_stack``: the triangles'
+    closed form, with the SVD for the samples it does not certify and for
+    the refit. Every consensus is that of :func:`_exact_consensus`, which
+    compares squared residuals with ``_squared_limit(threshold)``: that
+    gives the verdict of each square root against the threshold without
+    taking it. The stacks' counts are read off a screen, one small matrix
+    product per block of hypotheses (:func:`_consensus_counts`), and
+    recounted where the screen's proven margin does not decide a pair.
     """
     n = len(cset)
     if n < 3:
@@ -562,25 +560,22 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
         samples = _draw_samples(rng, n, min(RANSAC_FIT_STACK, params.n_ransac - start))
         rot, tra, _ = _fit_rigid_stack(src[samples], tgt[samples])
         del samples  # freed before the consensus blocks allocate theirs
-        _check_rigid_stack(rot, tra)
-        counts = _consensus_counts(screen, rot, tra, src, tgt)
+        counts = _consensus_counts(screen, rot, tra, _check_rigid_stack(rot, tra), src, tgt)
         if counts.max(initial=0) > best_count:
             k = int(np.argmax(counts))
-            # Copies: a view would keep this stack's arrays alive through the next.
-            best_count, best_fit = int(counts[k]), (rot[k].copy(), tra[k].copy())
+            best_count, best = int(counts[k]), RigidTransform(rot[k], tra[k])  # copies
         del rot, tra  # freed before the next stack is fitted
 
     if best_count == 0:
         return GroupingResult(())
 
-    consensus = _exact_consensus(best_fit[0][None], best_fit[1][None], src, tgt, limit)[0]
-    best = RigidTransform(*best_fit)
+    consensus = _exact_consensus(best.rotation[None], best.translation[None], src, tgt, limit)[0]
     if best_count >= 3:
         try:
             best = estimate_rigid_transform(src[consensus], tgt[consensus])
         except DegenerateSampleError:
             pass
-    final = np.flatnonzero(np.linalg.norm(best.apply(src) - tgt, axis=1) < threshold)
+    final = np.flatnonzero(_exact_consensus(best.rotation[None], best.translation[None], src, tgt, limit)[0])
     return GroupingResult(final, transform=best)
 
 

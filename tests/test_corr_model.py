@@ -264,3 +264,24 @@ def test_strip_lrfs():
     assert not stripped.has_lrfs
     assert len(stripped) == 3
     np.testing.assert_array_equal(stripped.source_points, cset.source_points)
+
+
+def test_replaced_sets_share_columns_and_rebuild_their_records():
+    rng = np.random.default_rng(9)
+    cset = CorrespondenceSet.from_arrays(
+        rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), np.full(4, 0.9), np.full(4, 0.1), np.full(4, 0.5), 1.0,
+        source_frames=[random_rotation(rng) for _ in range(4)],
+        target_frames=[random_rotation(rng) for _ in range(4)])
+    assert all(c.source_lrf is not None and c.target_lrf is not None for c in cset.items)
+    stripped = strip_lrfs(cset)
+    assert all(c.source_lrf is None and c.target_lrf is None for c in stripped.items)
+    assert stripped.source_frames is None and stripped.target_frames is None
+    truth = RigidTransform(random_rotation(rng), rng.normal(size=3))
+    located = cset.with_ground_truth(truth)
+    assert located.ground_truth is truth and cset.ground_truth is None
+    for replaced in (stripped, located):
+        assert replaced.source_points is cset.source_points
+        assert replaced.similarities is cset.similarities
+        assert not replaced.similarities.flags.writeable
+    assert located.source_frames is cset.source_frames
+    assert [c.source_lrf.axes.tobytes() for c in located.items] == [c.source_lrf.axes.tobytes() for c in cset.items]

@@ -1,16 +1,18 @@
 """Block-batched RANSAC and the stacked rigid fit against the loops they
 replace.
 
-``rigid_fit_oracle`` is the scalar fit of one point sample: the closed-form
-rule (``horn_oracle``, Horn's unit quaternion) in Python floats and in the
-kernel's order of operations, with the SVD rule (``kabsch_rotation``) for
-the samples the closed form does not certify. ``ransac_loop_oracle`` is
-RANSAC as one fit, one ``apply`` and one residual norm per iteration. Both
-must agree with the package bit for bit: inlier indices,
-``rotation.tobytes()`` and ``translation.tobytes()``. Integer-grid keypoints
-give duplicate keypoints, collinear (degenerate) samples and exact consensus
-ties, so the earliest-iteration tie rule is exercised. ``kabsch_oracle``, the
-SVD fit of every sample, is the tolerance oracle of the closed form.
+``rigid_fit_oracle`` is the scalar fit of one point sample: for three
+points the closed-form rule (``triangle_oracle``, the two triangles' frames
+and a 2-D Procrustes fit) in Python floats and in the kernel's order of
+operations, with the SVD rule (``kabsch_rotation``) for the samples the
+closed form does not certify and for every sample of another size.
+``ransac_loop_oracle`` is RANSAC as one fit, one ``apply`` and one residual
+norm per iteration. Both must agree with the package bit for bit: inlier
+indices, ``rotation.tobytes()`` and ``translation.tobytes()``. Integer-grid
+keypoints give duplicate keypoints, collinear (degenerate) samples and
+exact consensus ties, so the earliest-iteration tie rule is exercised.
+``kabsch_oracle``, the SVD fit of every sample, is the tolerance oracle of
+the closed form.
 
 ``scalar_draw`` is one iteration's sample, drawn with a scalar
 ``Generator.integers`` call and the skip rule in Python ints.
@@ -22,6 +24,7 @@ triples must be one-to-one.
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -58,86 +61,58 @@ def kabsch_rotation(cross):
     return rot
 
 
-def nan_sqrt(v):
-    """``math.sqrt`` with numpy's NaN for negative and NaN arguments."""
-    return math.sqrt(v) if v >= 0.0 else math.nan
+def dot3(x, y):
+    return (x[0] * y[0] + x[1] * y[1]) + x[2] * y[2]
 
 
-def horn_oracle(cross):
-    """The closed-form rotation of one cross-covariance H, in Python floats;
+def cross3(x, y):
+    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+
+
+def triangle_oracle(src, tgt):
+    """The closed-form rotation of one three-point sample, in Python floats;
     None when the rule does not certify it."""
-    entries = cross.ravel().tolist()
-    if not all(map(math.isfinite, entries)) or not any(entries):
-        return None
-    scale = math.frexp(max(abs(v) for v in entries))[1]
-    sxx, sxy, sxz, syx, syy, syz, szx, szy, szz = (math.ldexp(v, -scale) for v in entries)
-    ss = sxx * sxx
-    for v in (sxy, sxz, syx, syy, syz, szx, szy, szz):
-        ss = ss + v * v
-    det = sxx * (syy * szz - syz * szy) - sxy * (syx * szz - syz * szx) + sxz * (syx * szy - syy * szx)
-    n01, n02, n03 = syz - szy, szx - sxz, sxy - syx
-    n12, n13, n23 = sxy + syx, szx + sxz, syz + szy
-    a = [[sxx + syy + szz, n01, n02, n03], [n01, sxx - syy - szz, n12, n13],
-         [n02, n12, syy - sxx - szz, n23], [n03, n13, n23, szz - sxx - syy]]
-
-    def minors(r0, r1):
-        return {(i, j): a[r0][i] * a[r1][j] - a[r0][j] * a[r1][i] for i in range(4) for j in range(i + 1, 4)}
-
-    top, low = minors(0, 1), minors(2, 3)
-    c0 = (((((top[0, 1] * low[2, 3] - top[0, 2] * low[1, 3]) + top[0, 3] * low[1, 2])
-            + top[1, 2] * low[0, 3]) - top[1, 3] * low[0, 2]) + top[2, 3] * low[0, 1])
-    c2 = -2.0 * ss
-    c1 = -8.0 * det
-    floor = geom3d.HORN_CERTIFY * geom3d.HORN_CERTIFY * (ss * ss * ss)
-
-    # The start: the biquadratic's root raised by 2^-20 where f, f' and f''
-    # are positive there, sqrt(3) |H|_F otherwise.
-    x = nan_sqrt(0.5 * (nan_sqrt(c2 * c2 - 4.0 * c0) - c2)) * (1.0 + 2.0 ** -20)
-    t = x * x
-    if not ((((t + c2) * x + c1) * x + c0 > 0.0) and ((4.0 * t + 2.0 * c2) * x + c1 > 0.0)
-            and (12.0 * t + 2.0 * c2 > 0.0)):
-        x = math.sqrt(3.0 * ss)
-    # Newton: a step of at most 1e-10 x is followed by one more.
-    final = False
-    for _ in range(geom3d._HORN_MAX_STEPS):
-        t = x * x
-        slope = (4.0 * t + 2.0 * c2) * x + c1
-        if slope * slope < floor:
+    certify = geom3d.TRIANGLE_CERTIFY
+    frames, plane = [], []
+    for points in (src, tgt):
+        p0, p1, p2 = points.tolist()
+        e1 = [p1[i] - p0[i] for i in range(3)]
+        e2 = [p2[i] - p0[i] for i in range(3)]
+        sq1, sq2, along = dot3(e1, e1), dot3(e2, e2), dot3(e1, e2)
+        normal = cross3(e1, e2)
+        area_sq = dot3(normal, normal)
+        if not (area_sq >= certify * certify * sq1 * sq2 and all(1e-100 < sq < 1e100 for sq in (sq1, sq2))):
             return None
-        step = (((t + c2) * x + c1) * x + c0) / slope
-        x = x - step
-        if final:
-            break
-        final = not abs(step) > geom3d._HORN_STEP_TOL * x
-    else:
-        return None
+        length, area = math.sqrt(sq1), math.sqrt(area_sq)
+        a = [v / length for v in e1]
+        n = [v / area for v in normal]
+        frames.append((a, cross3(n, a), n))
+        plane.append((length, along / length, area / length))
 
-    for i in range(4):
-        a[i][i] = a[i][i] - x
-    best = best_sq = None
-    for pair, cols in (((2, 3), (0, 1)), ((0, 1), (2, 3))):
-        minor = minors(*pair)
-        for row in cols[::-1]:
-            column = []
-            for i in range(4):
-                k0, k1, k2 = (c for c in range(4) if c != i)
-                entry = a[row][k0] * minor[k1, k2] - a[row][k1] * minor[k0, k2] + a[row][k2] * minor[k0, k1]
-                column.append(-entry if i % 2 else entry)
-            sq = ((column[0] * column[0] + column[1] * column[1]) + column[2] * column[2]) + column[3] * column[3]
-            if best is None or sq > best_sq:
-                best, best_sq = column, sq
-    if not floor <= best_sq < math.inf:
+    # The 2-D Procrustes fit: Z for a turn of the plane, Z' for a reflection.
+    (u_s, v_s, w_s), (u_t, v_t, w_t) = plane
+    skew_t = 2.0 * v_t - u_t
+    real = u_s * (2.0 * u_t - v_t) + v_s * skew_t
+    twist = 2.0 * w_s * w_t
+    imag = (2.0 * v_s - u_s) * w_t
+    swing = w_s * skew_t
+    z_sq = (real + twist) * (real + twist) + (imag - swing) * (imag - swing)
+    mirror_sq = (real - twist) * (real - twist) + (imag + swing) * (imag + swing)
+    z, mirror_z = math.sqrt(z_sq), math.sqrt(mirror_sq)
+    if not abs(z - mirror_z) >= certify * math.sqrt(0.5 * (z_sq + mirror_sq)):
         return None
+    sign = -1.0 if mirror_sq > z_sq else 1.0
+    top = max(z, mirror_z)
+    c = (real + sign * twist) / top
+    s = (sign * imag - swing) / top
 
-    w, x, y, z = best
-    ww, xx, yy, zz = w * w, x * x, y * y, z * z
-    norm = ((ww + xx) + yy) + zz
-    two = 2.0 / norm
-    return np.array([
-        [((ww + xx) - (yy + zz)) / norm, (x * y - w * z) * two, (x * z + w * y) * two],
-        [(x * y + w * z) * two, ((ww + yy) - (xx + zz)) / norm, (y * z - w * x) * two],
-        [(x * z - w * y) * two, (y * z + w * x) * two, ((ww + zz) - (xx + yy)) / norm],
-    ])
+    # R = F_t R2 F_s^T: the source axes turned, b and n negated for a mirror.
+    (a_s, b_s, n_s), (a_t, b_t, n_t) = frames
+    turned = [c * a_s[j] - s * b_s[j] for j in range(3)]
+    turned_b = [(b_s[j] * c + s * a_s[j]) * sign for j in range(3)]
+    turned_n = [n_s[j] * sign for j in range(3)]
+    return np.array([[(a_t[i] * turned[j] + b_t[i] * turned_b[j]) + n_t[i] * turned_n[j] for j in range(3)]
+                     for i in range(3)])
 
 
 def centered_fit(src, tgt):
@@ -155,12 +130,13 @@ def centered_fit(src, tgt):
 
 def rigid_fit_oracle(src, tgt):
     """(rotation, translation) of the scalar fit: the closed form where it
-    certifies the sample, the SVD rule otherwise; None when degenerate."""
+    certifies a three-point sample, the SVD rule otherwise; None when
+    degenerate."""
     fit = centered_fit(src, tgt)
     if fit is None:
         return None
     src_mean, tgt_mean, cross = fit
-    rot = horn_oracle(cross)
+    rot = triangle_oracle(src, tgt) if len(src) == 3 else None
     if rot is None:
         rot = kabsch_rotation(cross)
     return rot, tgt_mean - rot @ src_mean
@@ -313,13 +289,13 @@ def test_reflections_and_degenerate_samples_are_covered():
 # ---------------------------------------------------------------------------
 
 EPS = np.finfo(np.float64).eps
-HORN_KINDS = ["turn", "half-turn", "mirror", "collinear", "coincident"]
+HARD_KINDS = ["turn", "half-turn", "mirror", "collinear", "coincident"]
 
 
-def horn_sample(seed, m, kind, noise, scale):
-    """A sample of m pairs: a random turn, a half turn (quaternion w = 0), a
-    mirror image, targets on a line or all at one point, each with Gaussian
-    noise of ``noise``; both sides times ``scale`` and moved by 1e6 spreads."""
+def hard_sample(seed, m, kind, noise, scale):
+    """A sample of m pairs: a random turn, a half turn, a mirror image,
+    targets on a line or all at one point, each with Gaussian noise of
+    ``noise``; both sides times ``scale`` and moved by 1e6 spreads."""
     rng = np.random.default_rng(seed)
     src = rng.normal(size=(m, 3))
     turn = random_rotation(rng)
@@ -335,47 +311,53 @@ def horn_sample(seed, m, kind, noise, scale):
     return (src + 1e6) * scale, (tgt + 1e6) * scale
 
 
-def horn_matrix(h):
-    """Horn's 4 x 4 matrix of a 3 x 3 cross-covariance."""
-    (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = h
-    return np.array([[sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
-                     [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
-                     [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
-                     [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy]])
+def exact_cross(src, tgt):
+    """The cross-covariance of the exactly centred points, rounded once."""
+    p, q = ([[Fraction(v) for v in row] for row in side.tolist()] for side in (src, tgt))
+    p_mean, q_mean = ([sum(col) / len(side) for col in zip(*side)] for side in (p, q))
+    return np.array([[float(sum((pi[i] - p_mean[i]) * (qi[j] - q_mean[j]) for pi, qi in zip(p, q)))
+                      for j in range(3)] for i in range(3)])
+
+
+def sine_at_first_point(points):
+    e1, e2 = points[1] - points[0], points[2] - points[0]
+    return np.linalg.norm(np.cross(e1, e2)) / (np.linalg.norm(e1) * np.linalg.norm(e2))
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([3, 4, 10, 100]), kind=st.sampled_from(HORN_KINDS),
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([3, 4, 10, 100]), kind=st.sampled_from(HARD_KINDS),
        noise=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.1]), scale=st.sampled_from([1.0, 1e-160, 1e150]))
 @example(seed=0, m=3, kind="half-turn", noise=0.0, scale=1.0)
+@example(seed=0, m=3, kind="mirror", noise=0.0, scale=1.0)
 @example(seed=0, m=10, kind="mirror", noise=0.0, scale=1e-160)
 @example(seed=0, m=4, kind="collinear", noise=0.0, scale=1e150)
 def test_certified_fits_reach_the_svd_fit(seed, m, kind, noise, scale):
     # Near 1e150 the products of H are near the overflow edge; near 1e-160
     # H is subnormal.
-    src, tgt = horn_sample(seed, m, kind, noise, scale)
+    src, tgt = hard_sample(seed, m, kind, noise, scale)
     expected = rigid_fit_oracle(src, tgt)
     rot, tra, fitted = _fit_rigid_stack(src[None], tgt[None])
     assert fitted.tolist() == [expected is not None]
     if expected is None:
         return
     assert rot[0].tobytes() == expected[0].tobytes() and tra[0].tobytes() == expected[1].tobytes()
-    cross = centered_fit(src, tgt)[2]
-    svd, svd_tra = kabsch_oracle(src, tgt)
-    if not geom3d._horn_rotations(cross[None])[1][0]:
+    if m != 3 or triangle_oracle(src, tgt) is None:
+        svd, svd_tra = kabsch_oracle(src, tgt)
         assert rot[0].tobytes() == svd.tobytes() and tra[0].tobytes() == svd_tra.tobytes()
         return
-    # H at unit norm, exactly scaled first so that a subnormal H keeps its bits.
-    h = np.ldexp(cross, -np.frexp(np.abs(cross).max())[1])
-    h /= np.linalg.norm(h)
-    lam = np.linalg.eigvalsh(horn_matrix(h))[::-1]
-    gap = lam[0] - lam[1]
-    product = gap * (lam[0] - lam[2]) * (lam[0] - lam[3])
-    # The rotation: rounding of a few ulps, plus the error the root's
-    # rounding puts into the eigenvector, eps / (gap (l1 - l2)(l1 - l3)(l1 - l4)).
-    assert np.abs(rot[0] - svd).max() <= 128 * EPS * (1.0 + 1.0 / (gap * product))
+    # The reference is the SVD fit of the exactly centred points: the
+    # rounded means, 1e6 eps off, move the rounded H by about 1e12 eps^2,
+    # which is large next to the H of targets a few ulps apart.
+    cross = exact_cross(src, tgt)
+    svd = kabsch_rotation(cross)
+    sigma = np.linalg.svd(cross, compute_uv=False)
+    # The bound of geom3d._triangle_rotations: the frames' rounding, eps over
+    # each triangle's sine, plus the fit's sensitivity, eps |H|_F / sigma_2.
+    spread = 1.0 / sine_at_first_point(src) + 1.0 / sine_at_first_point(tgt) + np.linalg.norm(cross) / sigma[1]
+    assert np.abs(rot[0] - svd).max() <= 4 * EPS * spread
     # The least-squares objective |P|^2 + |Q|^2 - 2 tr(R H): tr(R H) within
     # the rounding of R's entries.
+    h = cross / np.linalg.norm(cross)
     assert np.trace(rot[0] @ h) >= np.trace(svd @ h) - 32 * EPS
 
 
@@ -389,23 +371,24 @@ def assert_stack_matches_scalar_fits(src, tgt):
 
 
 def test_closed_form_and_svd_rows_are_both_covered():
-    # Half turns and noisy mirrors are certified; targets on a line or at one
-    # point are not, and take the SVD rule.
+    # Three-point half turns and noisy mirrors are certified; targets on a
+    # line or at one point have sigma_2(H) = 0, a zero gap, and take the SVD
+    # rule.
     src, tgt = (np.array(side) for side in zip(*[
-        horn_sample(seed, 10, kind, noise, 1.0) for seed in range(4)
+        hard_sample(seed, 3, kind, noise, 1.0) for seed in range(4)
         for kind, noise in (("half-turn", 0.0), ("mirror", 0.1), ("collinear", 0.0), ("coincident", 0.0))]))
-    cross = np.array([centered_fit(s, t)[2] for s, t in zip(src, tgt)])
-    assert geom3d._horn_rotations(cross)[1].tolist() == [True, True, False, False] * 4
+    certified = geom3d._triangle_rotations(src, tgt, np.empty((len(src), 3, 3)))
+    assert certified.tolist() == [True, True, False, False] * 4
     assert_stack_matches_scalar_fits(src, tgt)
 
 
 def test_a_triple_top_eigenvalue_takes_the_svd_rule_with_its_determinant_fix():
     # A regular octahedron and its mirror image: H = 2 diag(1, 1, -1), whose
-    # Horn matrix has eigenvalues 2, 2, 2 and -6.
+    # rotations R maximising tr(R H) are not unique. Six points take the SVD
+    # rule by their number, and its determinant fix runs.
     src = np.vstack([np.eye(3), -np.eye(3)]) + 1.0
     tgt = src @ MIRROR.T
     cross = centered_fit(src, tgt)[2]
-    assert not geom3d._horn_rotations(cross[None])[1][0]
     u, _, vt = np.linalg.svd(cross)
     assert np.linalg.det(vt.T @ u.T) < 0
     rot, tra, _ = _fit_rigid_stack(src[None], tgt[None])
@@ -440,6 +423,30 @@ def test_stack_check_raises_the_first_faulty_pair_first_fault():
             _check_rigid_stack(rot[k:k + 1], tra[k:k + 1])
     with pytest.raises(ValueError, match="determinant"):
         _check_rigid_stack(MIRROR[None], tra[:1])
+
+
+def noisy_set(seed, n, inlier_share, scale=1.0):
+    """Random sources; inlier targets a random rigid motion of them plus
+    noise of a tenth of the resolution, outliers random points. Coordinates
+    and the resolution (1) are times ``scale``."""
+    rng = np.random.default_rng(seed)
+    src = rng.normal(size=(n, 3)) * 10.0
+    tgt = src @ random_rotation(rng).T + rng.normal(size=3) * 10.0 + rng.normal(size=(n, 3)) * 0.1
+    outliers = rng.random(n) >= inlier_share
+    tgt[outliers] = rng.normal(size=(int(outliers.sum()), 3)) * 10.0
+    ones = np.ones(n)
+    return CorrespondenceSet.from_arrays(src * scale, tgt * scale, ones, ones, ones, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), k=st.integers(-7, 9),
+       inlier_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]), d_ransac_pr=st.sampled_from([0.5, 5.0]))
+def test_ransac_inliers_do_not_depend_on_a_power_of_two_scale(seed, n, k, inlier_share, d_ransac_pr):
+    # Scaling every coordinate and the resolution by 2^k is exact, and so is
+    # every ratio the fits and the consensus compare.
+    params = AlgorithmParams(n_ransac=200, d_ransac_pr=d_ransac_pr, rng_seed=seed)
+    expected = group_ransac(noisy_set(seed, n, inlier_share), params).inlier_indices
+    assert group_ransac(noisy_set(seed, n, inlier_share, 2.0 ** k), params).inlier_indices == expected
 
 
 def test_all_collinear_keypoints_give_an_empty_result():
@@ -737,7 +744,7 @@ def test_screened_counts_match_the_chunk_arithmetic_at_the_limit(seed, n, offset
     tras = np.concatenate([tra[None], np.nextafter(tra, np.inf)[None], fit_tra])
     screen = grouping._consensus_screen(src, tgt, d_ransac_pr, limit)
     with mock.patch.object(grouping, "BLOCK_BYTES", 24 * n * rows):
-        counts = grouping._consensus_counts(screen, rots, tras, src, tgt)
+        counts = grouping._consensus_counts(screen, rots, tras, _check_rigid_stack(rots, tras), src, tgt)
     assert counts.tolist() == chunk_counts(rots, tras, src, tgt, limit).tolist()
     # The winner's mask, the refit and the transform.
     params = AlgorithmParams(n_ransac=30, d_ransac_pr=d_ransac_pr, rng_seed=seed)
@@ -750,14 +757,16 @@ def test_pairs_within_the_margin_are_recounted():
     cset, _, _ = edge_set(0, 40, 1e6, 1.0)
     params = AlgorithmParams(n_ransac=200, d_ransac_pr=1.0, rng_seed=0)
     result, sizes = recounted(cset, params)
-    # The last call is the winner's mask; the others are recounts.
-    assert sizes[-1] == 1 and sum(sizes[:-1]) > 0
+    # The last two calls are the winner's mask and the returned one; the
+    # others are recounts.
+    assert sizes[-2:] == [1, 1] and sum(sizes[:-2]) > 0
     assert_same_result(result, ransac_loop_oracle(cset, params))
 
 
 def test_a_screen_that_decides_every_pair_recounts_nothing():
-    # Far from the limit the screen decides: only the winner's mask is computed.
-    assert recounted(random_set(1000), AlgorithmParams(n_ransac=2000))[1] == [1]
+    # Far from the limit the screen decides: only the winner's mask and the
+    # returned one are computed.
+    assert recounted(random_set(1000), AlgorithmParams(n_ransac=2000))[1] == [1, 1]
 
 
 def scaled_set(seed, n, scale, resolution, axes=(1.0, 1.0, 1.0)):
@@ -788,8 +797,8 @@ def test_ransac_matches_loop_near_the_overflow_edge(seed):
     threshold = params.d_ransac_pr * cset.source_resolution_pr
     samples = grouping._draw_samples(np.random.default_rng(seed), 60, 300)
     rot, tra, _ = _fit_rigid_stack(src[samples], tgt[samples])
-    _, margin = grouping._screen_rows(
-        grouping._consensus_screen(src, tgt, threshold, grouping._squared_limit(threshold)), rot, tra)
+    screen = grouping._consensus_screen(src, tgt, threshold, grouping._squared_limit(threshold))
+    _, margin = grouping._screen_rows(screen, rot, tra, _check_rigid_stack(rot, tra))
     assert np.isinf(margin).any() and np.isfinite(margin).any()
 
 
@@ -805,13 +814,13 @@ def test_screened_values_that_overflow_are_recounted(seed):
     tra = np.zeros((2, 3))
     tra[1, 0] = 1e150 * seed
     screen = grouping._consensus_screen(src, tgt, 5e150, limit)
-    coef, _ = grouping._screen_rows(screen, rot, tra)
+    coef, _ = grouping._screen_rows(screen, rot, tra, _check_rigid_stack(rot, tra))
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(coef @ grouping._screen_table(screen, src, tgt)).all()
     # The outliers' squared residuals overflow too, to inf: outside the limit.
     with np.errstate(over="ignore"):
         expected = chunk_counts(rot, tra, src, tgt, limit)
-        counts = grouping._consensus_counts(screen, rot, tra, src, tgt)
+        counts = grouping._consensus_counts(screen, rot, tra, _check_rigid_stack(rot, tra), src, tgt)
     assert expected[0] >= 20
     assert counts.tolist() == expected.tolist()
 
