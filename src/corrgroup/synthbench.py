@@ -109,28 +109,42 @@ class CorrespondenceRecipe:
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Rotation matrix drawn uniformly over SO(3) (quaternion method)."""
-    u1, u2, u3 = rng.random(3)
-    a, b = math.sqrt(1.0 - u1), math.sqrt(u1)
-    qx = a * math.sin(2.0 * math.pi * u2)
-    qy = a * math.cos(2.0 * math.pi * u2)
-    qz = b * math.sin(2.0 * math.pi * u3)
-    qw = b * math.cos(2.0 * math.pi * u3)
-    return np.array([
+    return _random_rotations(rng, 1)[0]
+
+
+def _random_rotations(rng: np.random.Generator, k: int) -> np.ndarray:
+    """(k, 3, 3) rotations drawn uniformly over SO(3) from one ``rng.random((k, 3))``
+    draw: the stream and the bits of k calls of :func:`random_rotation`."""
+    u1, u2, u3 = rng.random((k, 3)).T
+    a, b = np.sqrt(1.0 - u1), np.sqrt(u1)
+    qx = a * np.sin(2.0 * np.pi * u2)
+    qy = a * np.cos(2.0 * np.pi * u2)
+    qz = b * np.sin(2.0 * np.pi * u3)
+    qw = b * np.cos(2.0 * np.pi * u3)
+    return np.ascontiguousarray(np.array([
         [1 - 2 * (qy * qy + qz * qz), 2 * (qx * qy - qz * qw), 2 * (qx * qz + qy * qw)],
         [2 * (qx * qy + qz * qw), 1 - 2 * (qx * qx + qz * qz), 2 * (qy * qz - qx * qw)],
         [2 * (qx * qz - qy * qw), 2 * (qy * qz + qx * qw), 1 - 2 * (qx * qx + qy * qy)],
-    ])
+    ]).transpose(2, 0, 1))
 
 
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a (not necessarily unit) axis."""
-    k = np.asarray(axis, dtype=np.float64).reshape(3)
-    norm = np.linalg.norm(k)
-    if norm == 0.0:
-        return np.eye(3)
-    k = k / norm
-    skew = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + math.sin(angle) * skew + (1.0 - math.cos(angle)) * (skew @ skew)
+def _axis_rotations(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """(k, 3, 3) Rodrigues rotations about a (k, 3) stack of (not necessarily
+    unit) axes by (k,) angles; a zero axis gives the identity.
+
+    Each row has the bits of the one-axis form: the norm is the square root
+    of the row's dot product, as ``np.linalg.norm`` takes it (an einsum or an
+    elementwise sum rounds differently), and ``skew @ skew`` is a stack of
+    contiguous 3 x 3 products.
+    """
+    norm = np.sqrt((axes[:, None, :] @ axes[:, :, None])[:, 0, 0])
+    zero = norm == 0.0
+    x, y, z = (axes / np.where(zero, 1.0, norm)[:, None]).T
+    o = np.zeros(len(axes))
+    skew = np.ascontiguousarray(np.array([[o, -z, y], [z, o, -x], [-y, x, o]]).transpose(2, 0, 1))
+    rot = np.eye(3) + np.sin(angles)[:, None, None] * skew + (1.0 - np.cos(angles))[:, None, None] * (skew @ skew)
+    rot[zero] = np.eye(3)
+    return rot
 
 
 def make_test_model(kind: str, n_points: int, seed: int) -> PointCloud:
@@ -279,10 +293,9 @@ def generate_correspondences(
     perturb_angles = max_angle * rng.random(n_inliers)
     source_frames = np.concatenate(frames)
     target_frames = source_frames @ ground_truth.rotation.T
-    wobble = np.array([rotation_about_axis(axis, angle)
-                       for axis, angle in zip(perturb_axes, perturb_angles)]).reshape(-1, 3, 3)
+    wobble = _axis_rotations(perturb_axes, perturb_angles)
     target_frames[:n_inliers] = target_frames[:n_inliers] @ wobble.transpose(0, 2, 1)
-    target_frames[n_inliers:] = np.array([random_rotation(rng) for _ in range(n_outliers)]).reshape(-1, 3, 3)
+    target_frames[n_inliers:] = _random_rotations(rng, n_outliers)
 
     order = rng.permutation(n_total)
     return CorrespondenceSet.from_arrays(

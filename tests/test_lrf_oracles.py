@@ -179,6 +179,21 @@ def test_kernel_matches_scalar_rule_bitwise(case, tiny_blocks):
         assert_rows_match(cloud, centers, radius)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=lrf_cases(), tiny_blocks=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_permuting_the_centres_permutes_every_row(case, tiny_blocks, seed):
+    # Every row, ambiguous, insufficient and faulty ones included, whatever
+    # the order in which the kernel takes the centres.
+    cloud, centers, radius = case
+    perm = np.random.default_rng(seed).permutation(len(centers))
+    budget = geom3d._LRF_PAIR_BYTES * 7 if tiny_blocks else geom3d.LRF_BLOCK_BYTES
+    with mock.patch.object(geom3d, "LRF_BLOCK_BYTES", budget):
+        axes, verdict = estimate_lrf_stack(cloud, centers, radius)
+        moved_axes, moved_verdict = estimate_lrf_stack(cloud, centers[perm], radius)
+    assert moved_verdict.tobytes() == verdict[perm].tobytes()
+    assert moved_axes.tobytes() == axes[perm].tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=lrf_cases())
 def test_estimate_lrf_is_the_kernel_on_one_centre(case):
