@@ -78,11 +78,19 @@ def _check_tolerance(value: float, name: str = "epsilon") -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
+def _residuals(source: np.ndarray, target: np.ndarray, ground_truth: RigidTransform) -> np.ndarray:
+    """The (n,) ground-truth residuals |R p + t - q| of (n, 3) point rows.
+
+    einsum without ``optimize`` never routes to BLAS, whose results depend
+    on the shape of the call, so a row gets the same bits alone or in any set."""
+    mapped = np.einsum("nj,ij->ni", source, ground_truth.rotation) + ground_truth.translation
+    return np.linalg.norm(mapped - target, axis=1)
+
+
 def judge(c: Correspondence, ground_truth: RigidTransform, epsilon: float) -> bool:
     """True when the ground-truth residual of c is within epsilon (inclusive)."""
     _check_tolerance(epsilon)
-    residual = float(np.linalg.norm(ground_truth.apply(c.source_point) - c.target_point))
-    return residual <= epsilon
+    return bool(_residuals(c.source_point[None], c.target_point[None], ground_truth)[0] <= epsilon)
 
 
 def judge_set(cset: CorrespondenceSet, epsilon: float) -> np.ndarray:
@@ -90,9 +98,7 @@ def judge_set(cset: CorrespondenceSet, epsilon: float) -> np.ndarray:
     _check_tolerance(epsilon)
     if cset.ground_truth is None:
         raise ValueError("correspondence set has no ground truth")
-    residuals = np.linalg.norm(
-        cset.ground_truth.apply(cset.source_points) - cset.target_points, axis=1)
-    return residuals <= epsilon
+    return _residuals(cset.source_points, cset.target_points, cset.ground_truth) <= epsilon
 
 
 @dataclass(frozen=True)

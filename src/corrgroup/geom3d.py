@@ -117,21 +117,27 @@ _RIGID_FAULTS = ("vector components must be finite", "rotation entries must be f
 _FRAME_FAULTS = ("frame axes must be finite", "frame rows are not orthonormal", "frame must be right-handed")
 
 
+def _determinants(m: np.ndarray) -> np.ndarray:
+    """The (k,) determinants of a (k, 3, 3) stack: the cofactor expansion
+    along the first row, elementwise over the stack. It differs from an LU
+    determinant by a few ulps."""
+    (a, b, c), (d, e, f), (g, h, i) = m.transpose(1, 2, 0)
+    return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+
+
 def _rotation_faults(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The proper-rotation rule on a (k, 3, 3) stack: (3, k) masks of the rows that fail
     finite entries, M M^T = I and det +1 (1e-9), a non-finite row failing only the first;
     and the (k,) largest |entry| of M M^T - I, 0 on a non-finite row.
 
-    The determinant is the cofactor expansion along the first row, elementwise
-    over the stack: it differs from an LU determinant by a few ulps, so the
-    two verdicts differ only for a |det - 1| within about 1e-15 of 1e-9."""
+    The determinant is :func:`_determinants`, so the verdict differs from an
+    LU determinant's only for a |det - 1| within about 1e-15 of 1e-9."""
     finite = np.isfinite(m).all(axis=(1, 2))
     m = np.where(finite[:, None, None], m, np.eye(3))
     error = np.abs(m @ m.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
-    (a, b, c), (d, e, f), (g, h, i) = m.transpose(1, 2, 0)
     # Entries large enough to overflow here fail the Gram test; a NaN fails this one.
     with np.errstate(over="ignore", invalid="ignore"):
-        det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+        det = _determinants(m)
     return np.array([~finite, error > 1e-9, ~(np.abs(det - 1.0) <= 1e-9)]), error
 
 
@@ -297,7 +303,7 @@ def _kabsch_rotations(src_c: np.ndarray, tgt_c: np.ndarray) -> np.ndarray:
     u, _, vt = np.linalg.svd(src_c.transpose(0, 2, 1) @ tgt_c)
     v = vt.transpose(0, 2, 1)
     rot = v @ u.transpose(0, 2, 1)
-    flip = np.linalg.det(rot) < 0
+    flip = _determinants(rot) < 0
     if flip.any():
         v = v[flip]
         v[:, :, -1] *= -1.0

@@ -155,9 +155,7 @@ def make_test_model(kind: str, n_points: int, seed: int) -> PointCloud:
         raise ValueError("n_points must be >= 100")
     rng = np.random.default_rng(seed)
     if kind == "sphere":
-        pts = rng.normal(size=(n_points, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        return PointCloud(pts)
+        return PointCloud(_unit_vectors(rng, n_points))
     if kind == "torus":
         major, minor = 1.0, 0.3
         u = rng.uniform(0.0, 2.0 * math.pi, n_points)

@@ -1,9 +1,13 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrgroup import (
+    MODEL_KINDS,
     AlgorithmParams,
     Correspondence,
     CorrespondenceRecipe,
@@ -14,7 +18,10 @@ from corrgroup import (
     RigidTransform,
     SceneRecipe,
     SweepPlan,
+    generate_correspondences,
+    generate_scene,
     judge,
+    make_test_model,
     records_from_csv,
     records_to_csv,
     run_sweep,
@@ -81,6 +88,63 @@ class TestJudge:
         c = Correspondence(np.zeros(3), np.zeros(3), 0.9, 0.1, 1.0)
         with pytest.raises(ValueError):
             judge(c, RigidTransform.identity(), 0.0)
+
+
+@lru_cache(maxsize=None)
+def generated_set(kind, seed):
+    model = make_test_model(kind, 2000, seed)
+    scene, truth = generate_scene(model, SceneRecipe(rotation_seed=seed, rng_seed=seed + 1))
+    return generate_correspondences(model, scene, truth,
+                                    CorrespondenceRecipe(n_total=200, inlier_ratio=0.3, rng_seed=seed + 2))
+
+
+def rows_of(cset, rows, shift_source=0.0, shift_target=0.0, truth=None):
+    """The set of the given rows, without frames, each side shifted, judged
+    against ``truth`` (by default the set's)."""
+    return CorrespondenceSet.from_arrays(
+        cset.source_points[rows] + shift_source, cset.target_points[rows] + shift_target,
+        cset.similarities[rows], cset.nn_distances[rows], cset.second_nn_distances[rows],
+        cset.source_resolution_pr, ground_truth=truth or cset.ground_truth)
+
+
+def ulp_neighbours(value):
+    """value and its floats 1 and 2 ulps below and above, the positive ones."""
+    below = np.nextafter(value, 0.0)
+    above = np.nextafter(value, np.inf)
+    values = (np.nextafter(below, 0.0), below, value, above, np.nextafter(above, np.inf))
+    return [float(v) for v in values if v > 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(MODEL_KINDS), seed=st.integers(0, 2), exponent=st.integers(0, 6),
+       data=st.data())
+def test_a_row_is_judged_the_same_alone_and_in_any_set(kind, seed, exponent, data):
+    """With epsilon at a row's residual, as a one-row or a whole-set transform
+    computes it, and at its 1- and 2-ulp neighbours, ``judge`` on the row and
+    ``judge_set`` on its set, on a permuted copy and on a subset agree."""
+    full = generated_set(kind, seed)
+    rows = data.draw(st.lists(st.integers(0, len(full) - 1), min_size=2, max_size=60, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # Move both sides far from the origin; the truth moves with them.
+    shift_source, shift_target = rng.uniform(-1.0, 1.0, (2, 3)) * 10.0**exponent
+    truth = full.ground_truth
+    truth = RigidTransform(truth.rotation, truth.translation + shift_target - truth.rotation @ shift_source)
+    cset = rows_of(full, rows, shift_source, shift_target, truth)
+    n = len(cset)
+    order = rng.permutation(n)
+    position = np.argsort(order)
+    permuted = rows_of(cset, order)
+    kept = rng.random(n) < 0.5
+    parts = [(np.flatnonzero(mask), rows_of(cset, mask)) for mask in (kept, ~kept)]
+    in_set = np.linalg.norm(truth.apply(cset.source_points) - cset.target_points, axis=1)
+    for i, c in enumerate(cset.items):
+        alone = float(np.linalg.norm(truth.apply(c.source_point) - c.target_point))
+        for epsilon in ulp_neighbours(alone) + ulp_neighbours(in_set[i]):
+            verdict = judge(c, truth, epsilon)
+            assert evaluation.judge_set(cset, epsilon)[i] == verdict, (i, epsilon)
+            assert evaluation.judge_set(permuted, epsilon)[position[i]] == verdict, (i, epsilon)
+            members, part = parts[0] if kept[i] else parts[1]
+            assert evaluation.judge_set(part, epsilon)[np.searchsorted(members, i)] == verdict, (i, epsilon)
 
 
 class TestScore:

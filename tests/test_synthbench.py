@@ -192,6 +192,23 @@ class TestGenerateCorrespondences:
         assert np.all((sims[judged] >= 0.8) & (sims[judged] <= 0.9))
         assert np.all((sims[~judged] >= 0.1) & (sims[~judged] <= 0.2))
 
+    # The generator builds every target from the ground truth and never reads
+    # the scene, so the paper's noise and density nuisances leave the set as
+    # it is and their sweeps only reseed each level (ROADMAP item 6).
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="generate_correspondences does not read the scene")
+    @pytest.mark.parametrize("nuisance", [{"noise_sigma_pr": 5.0}, {"downsample_ratio": 0.2}],
+                             ids=["noisier", "sparser"])
+    def test_the_scene_nuisance_changes_the_set(self, nuisance):
+        model = make_test_model("torus", 1500, seed=11)
+        sets = []
+        for scene_recipe in (SceneRecipe(rotation_seed=12, rng_seed=13),
+                             SceneRecipe(rotation_seed=12, rng_seed=13, **nuisance)):
+            scene, truth = generate_scene(model, scene_recipe)
+            sets.append(generate_correspondences(model, scene, truth, self.recipe(n_total=100)))
+        columns = ("source_points", "target_points", "similarities", "source_frames", "target_frames")
+        assert any(getattr(sets[0], name).tobytes() != getattr(sets[1], name).tobytes() for name in columns)
+
     def test_low_offset_warns(self):
         with pytest.warns(UserWarning, match="outlier_min_offset_pr"):
             CorrespondenceRecipe(outlier_min_offset_pr=5.0)
