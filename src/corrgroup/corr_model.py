@@ -234,12 +234,17 @@ def distance_compatibility(c1: Correspondence, c2: Correspondence, t_gc: float) 
 
 
 def pairwise_lengths(source_points: np.ndarray, target_points: np.ndarray,
-                     rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+                     rows: slice = slice(None), cols: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """(d_s, d_t): source- and target-side segment lengths from the
-    correspondences in ``rows`` to every correspondence, the one length
-    computation behind the pairwise constraints of st, gc and si. Any
-    selection of rows has the bits of those rows of the full n x n matrices."""
-    return cdist(source_points[rows], source_points), cdist(target_points[rows], target_points)
+    correspondences in ``rows`` to those in ``cols``, the one length
+    computation behind the pairwise constraints of st, gc and si.
+
+    cdist computes each pair on its own, and u - v is exactly -(v - u), so
+    any (rows, cols) block has the bits of those entries of the full n x n
+    matrices, and the full matrices are bitwise symmetric.
+    """
+    return (cdist(source_points[rows], source_points[cols]),
+            cdist(target_points[rows], target_points[cols]))
 
 
 def _rigidity_from_lengths(d_s: np.ndarray, d_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -609,8 +609,10 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
 
     M is the one n x n matrix held, filled from row blocks of lengths
     (:func:`_row_blocks`): a block holds a few (rows, n) float64 arrays of
-    at most ``BLOCK_BYTES`` each. A matrix above ``ST_MATRIX_BYTES`` raises
-    ValueError before allocation.
+    at most ``BLOCK_BYTES`` each. Only the upper triangle is computed; the
+    lengths are bitwise symmetric (:func:`pairwise_lengths`), so each
+    block's part right of its diagonal square is mirrored below it. A
+    matrix above ``ST_MATRIX_BYTES`` raises ValueError before allocation.
     """
     n = len(cset)
     if n == 0:
@@ -628,8 +630,10 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     tgt = cset.target_points
     matrix = np.empty((n, n))
     for rows in _row_blocks(n, 8 * n):
-        block = _rigidity_from_lengths(*pairwise_lengths(src, tgt, rows), out=matrix[rows])
-        block[block < params.t_st] = 0.0
+        block = _rigidity_from_lengths(*pairwise_lengths(src, tgt, rows, slice(rows.start, None)),
+                                       out=matrix[rows, rows.start:])
+        block *= block >= params.t_st
+        matrix[rows.stop:, rows] = block[:, rows.stop - rows.start:].T
     np.fill_diagonal(matrix, 0.0)
     if not matrix.any():
         return GroupingResult(())
@@ -665,7 +669,9 @@ def group_gc(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     residual against c stays below ``t_gc_pr`` resolutions, plus c itself.
     The biggest cluster wins; ties go to the lowest seed index.
 
-    Cluster sizes are counted in row blocks of residuals, and only the
+    Cluster sizes are counted in row blocks of the upper triangle of
+    residuals, each block twice: its rows count towards their own seeds and
+    its columns right of the diagonal square towards theirs. Only the
     winning seed's row is computed again for its members.
     """
     n = len(cset)
@@ -676,10 +682,12 @@ def group_gc(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     src = cset.source_points
     tgt = cset.target_points
     # The diagonal residual is 0, so every seed counts itself.
-    sizes = np.empty(n, dtype=np.int64)
+    sizes = np.zeros(n, dtype=np.int64)
     for rows in _row_blocks(n, 8 * n):
-        residuals = _residuals_from_lengths(*pairwise_lengths(src, tgt, rows))
-        sizes[rows] = (residuals < threshold).view(np.uint8).sum(axis=1, dtype=np.uint32)
+        residuals = _residuals_from_lengths(*pairwise_lengths(src, tgt, rows, slice(rows.start, None)))
+        compatible = (residuals < threshold).view(np.uint8)
+        sizes[rows] += compatible.sum(axis=1, dtype=np.uint32)
+        sizes[rows.stop:] += compatible[:, rows.stop - rows.start:].sum(axis=0, dtype=np.uint32)
     seed = int(np.argmax(sizes))  # the first maximum
     residuals = _residuals_from_lengths(*pairwise_lengths(src, tgt, slice(seed, seed + 1)))
     return GroupingResult(np.flatnonzero(residuals[0] < threshold))
@@ -817,18 +825,22 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
         rigid = _rigidity_from_lengths(source_dist, target_dist) > params.si_sigma
 
         # kappa nearest neighbours per row by source-point distance (self
-        # excluded): every distance below the kappa-th smallest, then the ties
-        # at it in index order until kappa are taken.
+        # excluded): every distance up to the kappa-th smallest. When a row of
+        # the block holds more than kappa of those, the block takes every
+        # distance below it, then the ties at it in index order until kappa
+        # are taken, which is the same set on every row without a surplus.
         diagonal = np.arange(len(source_dist))
         source_dist[diagonal, diagonal + rows.start] = np.inf
         kth = np.partition(source_dist, kappa - 1, axis=1)[:, [kappa - 1]]
-        near = source_dist < kth
-        ties = source_dist == kth
-        near |= ties & (np.cumsum(ties, axis=1, dtype=np.int32)
-                        <= kappa - near.sum(axis=1, keepdims=True, dtype=np.int32))
+        near = source_dist <= kth
+        if (near.view(np.uint8).sum(axis=1, dtype=np.uint32) > kappa).any():
+            near = source_dist < kth
+            ties = source_dist == kth
+            near |= ties & (np.cumsum(ties, axis=1, dtype=np.int32)
+                            <= kappa - near.view(np.uint8).sum(axis=1, keepdims=True, dtype=np.int32))
         near &= ratio_pass
-        local_voters[rows] = near.sum(axis=1)
-        local_votes[rows] = (near & rigid).sum(axis=1)
+        local_voters[rows] = near.view(np.uint8).sum(axis=1, dtype=np.uint32)
+        local_votes[rows] = (near & rigid).view(np.uint8).sum(axis=1, dtype=np.uint32)
 
         vote_mask[rows] = rigid[:, global_voters] & _si_global_vote(
             motions[rows], src[rows], tgt[rows], voter_src_t, voter_tgt_t, limit)
@@ -836,7 +848,7 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     # motion; without the self-vote the zero self-rigidity (duplicate-pair
     # rule) would cap perfect candidates below score 1.
     vote_mask[global_voters, np.arange(kappa)] = True
-    global_votes = vote_mask.sum(axis=1)
+    global_votes = vote_mask.view(np.uint8).sum(axis=1, dtype=np.uint32)
 
     denominator = local_voters + kappa
     scores = (local_votes + global_votes) / denominator

@@ -8,6 +8,7 @@ the package's own dense kernels; ``gc_dense_oracle`` below does the same
 with :func:`pairwise_distance_residuals`.
 """
 
+import inspect
 import tracemalloc
 from unittest import mock
 
@@ -80,6 +81,41 @@ def test_length_blocks_are_the_rows_of_the_whole_matrices(points, row_bytes):
     assert np.vstack([b[1] for b in blocks]).tobytes() == d_t.tobytes()
 
 
+@st.composite
+def length_inputs(draw):
+    """(source, target) points of 1-12 rows: small integers, whose lengths
+    tie exactly, or floats; each side moved by up to 1e6 and both scaled by
+    one power of two."""
+    n = draw(st.integers(1, 12))
+    values = st.integers(-2, 2) if draw(st.booleans()) else st.floats(-10.0, 10.0)
+    points = np.array(draw(st.lists(values, min_size=6 * n, max_size=6 * n)), dtype=np.float64)
+    offsets = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)), min_size=6, max_size=6)))
+    scale = 2.0 ** draw(st.integers(-30, 30))
+    return (points.reshape(2, n, 3) + offsets.reshape(2, 1, 3)) * scale
+
+
+@st.composite
+def spans(draw, n):
+    """A slice of range(n), possibly empty."""
+    lo = draw(st.integers(0, n))
+    return slice(lo, draw(st.integers(lo, n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), points=length_inputs())
+def test_length_blocks_are_any_entries_of_symmetric_matrices(data, points):
+    # st and gc compute only the upper triangle in (rows, columns) blocks and
+    # mirror it, which keeps the bits only if both properties hold exactly.
+    src, tgt = points
+    n = len(src)
+    rows, cols = data.draw(spans(n)), data.draw(spans(n))
+    whole = pairwise_lengths(src, tgt)
+    for block, full in zip(pairwise_lengths(src, tgt, rows, cols), whole):
+        assert block.shape == full[rows, cols].shape
+        assert block.tobytes() == full[rows, cols].tobytes()
+        assert full.tobytes() == full.T.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(cset=grid_sets(), t_st=st.sampled_from([0.0, 0.6]), rows=st.integers(1, 3))
 def test_st_blocks_match_dense_matrix(cset, t_st, rows):
@@ -134,6 +170,26 @@ def test_gc_seed_tie_across_blocks_goes_to_lowest_seed(first, rows):
     assert result.inlier_indices == first == gc_dense_oracle(cset, params)
 
 
+def quarter_turn_set(source_points):
+    """The given keypoints, their targets one quarter turn away, and frames
+    on quarter turns."""
+    src = np.array(source_points, dtype=np.float64)
+    n = len(src)
+    turns = np.arange(n) % 4
+    return CorrespondenceSet.from_arrays(
+        src, src @ QUARTER_TURNS[1].T + 5.0, np.full(n, 0.9), np.full(n, 0.1), np.ones(n), 1.0,
+        source_frames=QUARTER_TURNS[turns], target_frames=QUARTER_TURNS[(turns + 1) % 4])
+
+
+# Row 2's three nearest keypoints (rows 1, 3 and 4) all lie at distance 1, so
+# with kappa = 1 three ties compete for one place; in blocks of 2 rows they
+# sit in three different blocks.
+SURPLUS_TIES = quarter_turn_set([[5, 5, 5], [0, 1, 0], [0, 0, 0], [0, 0, 1], [0, -1, 0]])
+# No two lengths of a row are equal, so at any kappa a row holds exactly
+# kappa distances at or below its kappa-th, and the tie rule never runs.
+NO_TIES = quarter_turn_set([[0, 0, 0], [1, 0, 0], [0, 3, 0], [0, 0, 7], [2, 5, 0], [11, 1, 4]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(cset=grid_sets(), kappa=st.sampled_from(["1", "n-1", "250"]),
        t_nnsr=st.sampled_from([0.0, 0.5]), rows=st.integers(1, 3))
@@ -142,6 +198,9 @@ def test_gc_seed_tie_across_blocks_goes_to_lowest_seed(first, rows):
         np.zeros((5, 3)), np.arange(15.0).reshape(5, 3), np.full(5, 0.9), np.full(5, 0.1), np.ones(5), 1.0,
         source_frames=QUARTER_TURNS[[0, 1, 2, 3, 0]], target_frames=QUARTER_TURNS[[0, 0, 0, 0, 0]]),
     kappa="1", t_nnsr=0.0, rows=2)
+@example(cset=SURPLUS_TIES, kappa="1", t_nnsr=0.0, rows=2)
+@example(cset=NO_TIES, kappa="1", t_nnsr=0.0, rows=2)
+@example(cset=NO_TIES, kappa="n-1", t_nnsr=0.5, rows=3)
 def test_si_blocks_match_full_sort(cset, kappa, t_nnsr, rows):
     n = len(cset)
     params = AlgorithmParams(si_kappa={"1": 1, "n-1": max(1, n - 1), "250": 250}[kappa], t_nnsr=t_nnsr)
@@ -151,6 +210,23 @@ def test_si_blocks_match_full_sort(cset, kappa, t_nnsr, rows):
         assert (result.inlier_indices, result.scores) == ((0,), {0: 0.0})
     else:
         assert (result.inlier_indices, result.scores) == si_argsort_oracle(cset, params)
+
+
+@pytest.mark.parametrize("cset,surplus", [(SURPLUS_TIES, True), (NO_TIES, False)],
+                         ids=["surplus-ties", "no-ties"])
+def test_si_examples_hold_the_ties_they_name(cset, surplus):
+    # si breaks ties at the kappa-th distance only where a row holds more than
+    # kappa distances at or below it; these sets take that path or never do.
+    source_dist, _ = pairwise_lengths(cset.source_points, cset.target_points)
+    np.fill_diagonal(source_dist, np.inf)
+    nearest = source_dist.min(axis=1, keepdims=True)  # the kappa-th distance at kappa = 1
+    counts = (source_dist <= nearest).sum(axis=1)
+    assert (counts > 1).any() == surplus
+    if surplus:
+        tied = np.flatnonzero(source_dist[2] == nearest[2])
+        assert tied.tolist() == [1, 3, 4] and len(set(tied // 2)) == 3
+    else:
+        assert all(len(np.unique(row[np.isfinite(row)])) == len(cset) - 1 for row in source_dist)
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +324,28 @@ def test_every_length_call_goes_through_one_hook(algorithm):
         assert seed.stop == seed.start + 1 and seed.start in result.inlier_indices
     assert rows == blocks
     assert cdist.call_count == 2 * hook.call_count
+
+
+def length_cells(call, n):
+    """Pairs of one ``pairwise_lengths`` call: its rows times its columns."""
+    bound = inspect.signature(corr_model.pairwise_lengths).bind(*call.args, **call.kwargs)
+    bound.apply_defaults()
+    return len(range(n)[bound.arguments["rows"]]) * len(range(n)[bound.arguments["cols"]])
+
+
+@pytest.mark.parametrize("algorithm", [group_st, group_gc, group_si], ids=["st", "gc", "si"])
+def test_st_and_gc_compute_each_pair_once(algorithm):
+    # st and gc take each block's rows from its diagonal on, at most
+    # n (n + step) / 2 pairs in all, plus gc's seed row; si needs whole rows.
+    n = 1000
+    step = max(1, grouping.BLOCK_BYTES // (8 * n))
+    hook = mock.Mock(wraps=grouping.pairwise_lengths)
+    with mock.patch.object(grouping, "pairwise_lengths", hook):
+        algorithm(random_set(n), AlgorithmParams())
+    cells = [length_cells(call, n) for call in hook.call_args_list]
+    if algorithm is group_gc:
+        assert cells.pop() == n  # the winning seed's row
+    if algorithm is group_si:
+        assert sum(cells) == n * n
+    else:
+        assert sum(cells) <= n * (n + step) // 2
