@@ -43,6 +43,7 @@ from .geom3d import (
     RigidTransform,
     _check_rigid_stack,
     _fit_rigid_stack,
+    _rotation_faults,
     estimate_rigid_transform,
 )
 
@@ -390,7 +391,15 @@ SCREEN_ROWS = 17
 
 
 def _consensus_screen(src: np.ndarray, tgt: np.ndarray, threshold: float, limit: float) -> _Screen:
-    """The centres and the per-call magnitudes of RANSAC's consensus screen.
+    """The centres and the per-call magnitudes of the consensus screen, over
+    the points ``src`` and ``tgt`` of every pair a hypothesis may meet.
+
+    It has two callers. RANSAC's :func:`_consensus_counts` screens its
+    fitted hypotheses against the whole set. si's :func:`_si_screened_vote`
+    takes candidate r as the hypothesis (M_r, q_r - M_r p_r) and its global
+    voters as the pairs; its screen spans the whole set, because si's
+    arithmetic also rounds the candidate's own points, which can lie
+    outside the voters' spread.
 
     With the points centred on their means, p' = p - c_s and q' = q - c_t,
     and a hypothesis (R, t) moved to t' = R c_s + t - c_t, the squared
@@ -431,13 +440,17 @@ def _screen_rows(screen: _Screen, rot: np.ndarray, tra: np.ndarray,
                  gram_error: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (k, 17) screen rows [2 R^T t', -2 t', -2 vec(R), 1, |t'|^2 - limit]
     of k hypotheses, and each one's margin m, given the (k,) largest
-    |entry| of R^T R - I that ``geom3d._check_rigid_stack`` returns.
+    |entry| e of R^T R - I. RANSAC (:func:`_consensus_counts`) takes e from
+    ``geom3d._check_rigid_stack``; si (:func:`_si_screened_vote`) from
+    ``geom3d._rotation_faults`` on M^T, which does not raise where a motion
+    built from two valid frames is a little past that check's 1e-9.
 
     A row times the table is z, a pair's screened squared residual less
     ``limit``. Let ρ = R p' + t' - q' in exact arithmetic on the stored p',
-    q' and t', and D the squared residual of :func:`_exact_consensus`. The
-    margin makes z < -m prove D <= limit and z > m prove D > limit. It is
-    built from the bounds of Higham, *Accuracy and Stability of Numerical
+    q' and t', and D the squared residual of the caller's exact count,
+    :func:`_exact_consensus` or :func:`_si_global_vote`. The margin makes
+    z < -m prove D <= limit and z > m prove D > limit, for either caller. It
+    is built from the bounds of Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3 (u = EPS / 2, γ_k = k u / (1 - k u)), with P, Q and T
     the largest norms of p', q' and t':
 
@@ -450,15 +463,29 @@ def _screen_rows(screen: _Screen, rot: np.ndarray, tra: np.ndarray,
       centring and of t'. The residual vector of :func:`_exact_consensus`
       is within γ_5 (|R||p| + |t| + |q|) of the exact one. Together they
       move |ρ| by at most ε = 8 EPS (2 (P + Q + |c_s| + |c_t|) + |t|).
-    * D is that vector's squared norm within a factor 1 ± γ_3.
+    * si's hypothesis has R = M and t = q_r - M p_r, rounded within
+      γ_4 (|M||p_r| + |q_r|). Its vote rounds o = p_g - p_r, then
+      (M_0 o_0 + M_2 o_2) + M_1 o_1 + q_r - q_g per coordinate, within
+      γ_6 (|M||o| + |q_r| + |q_g|) of the exact M p_g + t - q_g. The
+      screen spans candidates and voters, so |o| <= 2 P,
+      |p_r| <= P + |c_s|, |q| <= Q + |c_t|, and |M| scales a norm by at
+      most √3 (1 + e). With the centring and t', in units of u, the two
+      callers' errors are at most (1 + 16√3) P + 17 Q + 9√3 |c_s|
+      + 21 |c_t| + 5 |t| (si) and (1 + 5√3) P + 6 Q + 10√3 |c_s|
+      + 10 |c_t| + 10 |t| (RANSAC), within ε's 32 (P + Q + |c_s| + |c_t|)
+      + 16 |t| while e < 0.1; both callers' e are near 1e-9.
+    * D is that vector's squared norm within a factor 1 ± γ_3: both add
+      the squares as (x + y) + z.
 
     So m = 32 EPS K + e P^2 + 4 ε (τ + ε) + 8 EPS (τ + ε)^2, τ the
     threshold, decides every pair when m < limit: then ε < √limit, and
     an outlier at the edge has |ρ|^2 below 2 limit. Underflow adds at most
     ETA / 2 per product, which 64 ETA (1 + P + Q + T)^2 in m and 16 ETA in ε
-    cover. Every partial sum of z is below 2.1 K, so z is finite when 4 K
-    is. A margin that is not finite and below ``limit`` becomes inf: then
-    the screen decides none of the hypothesis's pairs.
+    cover: ε takes at most nine products per coordinate (si's residual, t
+    and t'), √3 · 9 ETA / 2 in all. Every partial sum of z is below
+    2.1 K, so z is finite when 4 K is. A margin that is not finite and
+    below ``limit`` becomes inf: then the screen decides none of the
+    hypothesis's pairs.
     """
     k = len(rot)
     moved = rot @ screen.src_mean + tra - screen.tgt_mean
@@ -531,7 +558,9 @@ def group_ransac(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingRe
     transform (skipping degenerate samples), and counts correspondences
     with residual below ``d_ransac_pr`` resolutions. The best sample by
     inlier count (earliest iteration wins ties) is refit by least squares
-    on its consensus set; the refit transform's consensus is returned.
+    on its consensus set; the refit transform's consensus is returned. When
+    no hypothesis has an inlier, as when every sample is degenerate
+    (coincident source keypoints), nothing is kept.
 
     Iterations run in fit stacks of ``RANSAC_FIT_STACK`` from the one
     sample stream: a stack's samples are drawn, fitted and checked together.
@@ -601,6 +630,8 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     descending rank (equal entries in index order), skipping any whose
     source or target keypoint equals that of an accepted one (the
     one-to-one mapping constraint), until an entry is zero within 1e-12.
+    When M has no nonzero entry, as when all keypoints coincide (zero
+    lengths score 0), there is no cluster and nothing is kept.
 
     The eigenvector is computed once on the full matrix, not per round: a
     per-round recomputation would strand the last member of every clique
@@ -776,23 +807,59 @@ def _si_global_vote(motions: np.ndarray, src: np.ndarray, tgt: np.ndarray,
     return dist <= limit
 
 
+def _si_screened_vote(screen: _Screen, table: np.ndarray, motions: np.ndarray, gram_error: np.ndarray,
+                      src: np.ndarray, tgt: np.ndarray, voter_src_t: np.ndarray,
+                      voter_tgt_t: np.ndarray) -> np.ndarray:
+    """The mask of :func:`_si_global_vote`, read off RANSAC's consensus screen.
+
+    Candidate r is the hypothesis (M_r, q_r - M_r p_r) and the voters are
+    its pairs: ``table`` is their :func:`_screen_table`, ``screen`` spans
+    every candidate and voter, and ``gram_error`` is each motion's largest
+    |entry| of M^T M - I. A row whose margin (:func:`_screen_rows`) does
+    not decide every voter is recounted by :func:`_si_global_vote`.
+    """
+    tra = tgt - np.matmul(motions, src[:, :, None])[:, :, 0]
+    coef, margin = _screen_rows(screen, motions, tra, gram_error)
+    # A product that overflows gives inf or NaN, which the recount takes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        screened = coef @ table
+    bound = margin[:, None]
+    inside = screened < -bound
+    # NaN is neither inside nor outside, and an infinite margin decides nothing.
+    redo = np.flatnonzero(~(inside | (screened > bound)).all(axis=1))
+    if redo.size:
+        inside[redo] = _si_global_vote(motions[redo], src[redo], tgt[redo],
+                                       voter_src_t, voter_tgt_t, screen.limit)
+    return inside
+
+
 def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult:
     """Local plus global voting with an adaptive cutoff on the vote score.
 
     Local voters for c are the ratio-test survivors among its kappa nearest
     correspondences (by source-point distance, ties to the lower index); a
     local vote needs rigidity above ``si_sigma``. Global voters are the
-    kappa best ratio scores; a global vote additionally needs the
-    frame-induced motion of c to map the voter's source point within
-    ``si_delta_pr`` resolutions of the voter's target point. The combined
-    score is thresholded by Otsu's rule, which keeps everything when all
-    scores are equal.
+    kappa best ratio scores, ties to the lower index; a global vote
+    additionally needs the frame-induced motion of c to map the voter's
+    source point within ``si_delta_pr`` resolutions of the voter's target
+    point. A global voter always votes for itself, which its own rigidity
+    (of zero lengths, so 0) would otherwise forbid, and no other
+    correspondence gets that vote: among identical correspondences, which
+    give each other no vote, only the voters score. The score is the
+    votes over (local voters + kappa), thresholded by Otsu's rule, which
+    keeps everything when all scores are equal.
 
     Candidates are scored in row blocks (:func:`_row_blocks`): a block holds
     a few (rows, n) arrays of at most ``BLOCK_BYTES`` each, and every step up
     to the cutoff works on one candidate's row alone, so the blocks keep the
-    bits of the whole matrices. A block's global vote runs on
-    (rows, kappa) coordinate planes (:func:`_si_global_vote`), its squared
+    bits of the whole matrices. A row reads rigidity only at the ratio-test
+    survivors and the global voters, the same columns for every row, so a
+    block computes it on those columns alone, gathered from its whole rows
+    of lengths (which the kappa-nearest selection needs). The global vote is
+    read off RANSAC's consensus screen (:func:`_si_screened_vote`): one
+    (rows, 17) by (17, kappa) product per block, with each row whose proven
+    margin does not decide every voter recounted exactly on (rows, kappa)
+    coordinate planes (:func:`_si_global_vote`), its squared
     residuals compared with ``_squared_limit(delta)`` in place of a norm.
     """
     n = len(cset)
@@ -811,18 +878,25 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     tgt = cset.target_points
     # Global voters: top-kappa ratio scores (stable sort, so ties by index).
     global_voters = np.argsort(-lowe, kind="stable")[:kappa]
+    # The columns a row reads: the global voters first, then the other survivors.
+    others = ratio_pass.copy()
+    others[global_voters] = False
+    read = np.concatenate([global_voters, np.flatnonzero(others)])
     motions = _frame_motions(cset.source_frames, cset.target_frames)
+    gram_error = _rotation_faults(motions.transpose(0, 2, 1))[1]
     # Coordinate-major voters: each coordinate is one contiguous row.
     voter_src_t = src[global_voters].T.copy()
     voter_tgt_t = tgt[global_voters].T.copy()
-    limit = _squared_limit(params.si_delta_pr * cset.source_resolution_pr)
+    delta = params.si_delta_pr * cset.source_resolution_pr
+    screen = _consensus_screen(src, tgt, delta, _squared_limit(delta))
+    table = _screen_table(screen, src[global_voters], tgt[global_voters])
 
     local_voters = np.empty(n, dtype=np.int64)
     local_votes = np.empty(n, dtype=np.int64)
     vote_mask = np.empty((n, kappa), dtype=bool)
     for rows in _row_blocks(n, 8 * n):
         source_dist, target_dist = pairwise_lengths(src, tgt, rows)
-        rigid = _rigidity_from_lengths(source_dist, target_dist) > params.si_sigma
+        target_dist = np.take(target_dist, read, axis=1)
 
         # kappa nearest neighbours per row by source-point distance (self
         # excluded): every distance up to the kappa-th smallest. When a row of
@@ -840,10 +914,15 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
                             <= kappa - near.view(np.uint8).sum(axis=1, keepdims=True, dtype=np.int32))
         near &= ratio_pass
         local_voters[rows] = near.view(np.uint8).sum(axis=1, dtype=np.uint32)
-        local_votes[rows] = (near & rigid).view(np.uint8).sum(axis=1, dtype=np.uint32)
 
-        vote_mask[rows] = rigid[:, global_voters] & _si_global_vote(
-            motions[rows], src[rows], tgt[rows], voter_src_t, voter_tgt_t, limit)
+        # A row's own entry reads 0 with its inf length, as with its 0 one.
+        source_dist = np.take(source_dist, read, axis=1)
+        rigid = _rigidity_from_lengths(source_dist, target_dist, out=source_dist) > params.si_sigma
+        del source_dist, target_dist  # freed before the vote allocates its planes
+        local_votes[rows] = (np.take(near, read, axis=1) & rigid).view(np.uint8).sum(axis=1, dtype=np.uint32)
+
+        vote_mask[rows] = rigid[:, :kappa] & _si_screened_vote(
+            screen, table, motions[rows], gram_error[rows], src[rows], tgt[rows], voter_src_t, voter_tgt_t)
     # A candidate in the voter pool trivially agrees with its own induced
     # motion; without the self-vote the zero self-rigidity (duplicate-pair
     # rule) would cap perfect candidates below score 1.

@@ -468,6 +468,37 @@ class TestSharedProperties:
 
 
 # ---------------------------------------------------------------------------
+# Tie rules on five identical correspondences: every length is 0, every
+# residual is 0 and every feature score is equal.
+# ---------------------------------------------------------------------------
+
+def identical_set(n=5):
+    point = np.array([[1.0, 2.0, 3.0]])
+    frames = np.broadcast_to(np.eye(3), (n, 3, 3))
+    return CorrespondenceSet.from_arrays(np.repeat(point, n, axis=0), np.repeat(point + 4.0, n, axis=0),
+                                         np.full(n, 0.5), np.full(n, 0.1), np.ones(n), 1.0,
+                                         source_frames=frames, target_frames=frames)
+
+
+class TestIdenticalCorrespondences:
+    def test_si_keeps_its_kappa_voters_taken_by_index(self):
+        # kappa = n - 1 = 4 voters, ties to the lower index; zero lengths
+        # score 0, so only a voter's vote for itself counts: 1 / (4 + 4).
+        result = group_si(identical_set(), AlgorithmParams())
+        assert result.inlier_indices == (0, 1, 2, 3)
+        assert result.scores == {i: 1 / 8 for i in range(4)}
+
+    def test_gc_keeps_the_lowest_seed_cluster_of_all_five(self):
+        assert group_gc(identical_set(), AlgorithmParams()).inlier_indices == (0, 1, 2, 3, 4)
+
+    def test_st_keeps_none_of_an_all_zero_matrix(self):
+        assert group_st(identical_set(), AlgorithmParams()).inlier_indices == ()
+
+    def test_ransac_keeps_none_when_every_sample_is_degenerate(self):
+        assert group_ransac(identical_set(), AlgorithmParams(n_ransac=50)).inlier_indices == ()
+
+
+# ---------------------------------------------------------------------------
 # Coordinates whose squared lengths overflow float64
 # ---------------------------------------------------------------------------
 
