@@ -14,7 +14,6 @@ from corrgroup import (
     PointCloud,
     RigidTransform,
     SceneRecipe,
-    apply_transform,
     estimate_lrf,
     estimate_rigid_transform,
     generate_correspondences,
@@ -37,7 +36,7 @@ print(f"torus model: {len(model)} points, resolution pr = {model.resolution:.5f}
 # pairwise distances, so the resolution is unchanged.
 rng = np.random.default_rng(7)
 pose = RigidTransform(random_rotation(rng), rng.normal(size=3))
-moved = apply_transform(pose, model)
+moved = PointCloud(pose.apply(model.points))
 print(f"after a rigid move the resolution is still {moved.resolution:.5f}")
 
 # Given matched point sets, the least-squares fit recovers the motion.

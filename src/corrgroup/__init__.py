@@ -12,7 +12,6 @@ from .corr_model import (
     distance_compatibility,
     load_correspondences,
     load_ground_truth,
-    rigidity_score,
     save_correspondences,
     save_ground_truth,
     strip_lrfs,
@@ -38,7 +37,6 @@ from .geom3d import (
     LocalReferenceFrame,
     PointCloud,
     RigidTransform,
-    apply_transform,
     compute_resolution,
     estimate_lrf,
     estimate_rigid_transform,

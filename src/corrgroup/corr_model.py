@@ -83,10 +83,6 @@ class Correspondence:
         except _ColumnError as exc:
             raise ValueError(exc.reason) from None
 
-    @property
-    def has_lrfs(self) -> bool:
-        return self.source_lrf is not None and self.target_lrf is not None
-
 
 # Per-row shape of each column of a correspondence set.
 _COLUMN_SHAPES = {"source_points": (3,), "target_points": (3,), "similarities": (), "nn_distances": (),
@@ -204,20 +200,6 @@ def strip_lrfs(cset: CorrespondenceSet) -> CorrespondenceSet:
 # ---------------------------------------------------------------------------
 # Pairwise geometric constraints
 # ---------------------------------------------------------------------------
-
-def rigidity_score(c1: Correspondence, c2: Correspondence) -> float:
-    """Length-ratio compatibility of two correspondences, in [0, 1].
-
-    With d_s and d_t the source- and target-side segment lengths, the score
-    is min(d_s/d_t, d_t/d_s). Any zero length (duplicate keypoints) scores
-    0 so that duplicated correspondences cannot reinforce each other.
-    """
-    d_s = float(np.linalg.norm(c1.source_point - c2.source_point))
-    d_t = float(np.linalg.norm(c1.target_point - c2.target_point))
-    if d_s == 0.0 or d_t == 0.0:
-        return 0.0
-    return min(d_s / d_t, d_t / d_s)
-
 
 def distance_compatibility(c1: Correspondence, c2: Correspondence, t_gc: float) -> tuple[float, bool]:
     """(residual, compatible) for the segment-length difference test.

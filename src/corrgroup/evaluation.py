@@ -44,7 +44,7 @@ from .grouping import (
     group_ss,
     group_st,
 )
-from .synthbench import DEFAULT_EPSILON_PR, CorrespondenceRecipe, SceneRecipe
+from .synthbench import DEFAULT_EPSILON_PR, CorrespondenceRecipe, SceneRecipe, _check_model
 from .synthbench import generate_correspondences, generate_scene, make_test_model
 
 SWEEP_AXES = (
@@ -193,7 +193,10 @@ def run_algorithm(
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Base model, recipes, and parameters shared by a sweep or benchmark."""
+    """Base model, recipes, and parameters shared by a sweep or benchmark.
+
+    The model and the set size are checked here, so a plan of specs fails
+    before any set is generated."""
 
     model_kind: str = "torus"
     model_points: int = 4000
@@ -204,6 +207,7 @@ class InstanceSpec:
     epsilon_pr: float = DEFAULT_EPSILON_PR
 
     def __post_init__(self):
+        _check_model(self.model_kind, self.model_points, self.corr.n_total)
         _check_tolerance(self.epsilon_pr, "epsilon_pr")
 
 

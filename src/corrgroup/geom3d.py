@@ -69,7 +69,8 @@ class PointCloud:
 
 
 def compute_resolution(cloud) -> float:
-    """Mean distance from each point to its nearest distinct neighbor."""
+    """Mean distance from each point to its nearest other point; a duplicate
+    point counts at distance 0."""
     pts = cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud)
     if len(pts) < 2:
         raise ValueError("insufficient points for resolution")
@@ -100,16 +101,6 @@ class RigidTransform:
     def apply(self, points) -> np.ndarray:
         """Transform one (3,) point or an (n, 3) array of points."""
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.rotation.T, -(self.rotation.T @ self.translation))
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Return the transform equivalent to applying ``other`` then self."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
 
 
 _RIGID_FAULTS = ("vector components must be finite", "rotation entries must be finite",
@@ -152,11 +143,6 @@ def _check_rigid_stack(rotations: np.ndarray, translations: np.ndarray) -> np.nd
     if faulty.any():
         raise ValueError(_RIGID_FAULTS[int(np.argmax(faults[:, np.argmax(faulty)]))])
     return error
-
-
-def apply_transform(transform: RigidTransform, cloud: PointCloud) -> PointCloud:
-    """Apply a rigid transform to every point of a cloud."""
-    return PointCloud(transform.apply(cloud.points))
 
 
 def _surely_not_collinear(centered: np.ndarray) -> np.ndarray:

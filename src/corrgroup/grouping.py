@@ -441,7 +441,7 @@ def _screen_rows(screen: _Screen, rot: np.ndarray, tra: np.ndarray,
     """The (k, 17) screen rows [2 R^T t', -2 t', -2 vec(R), 1, |t'|^2 - limit]
     of k hypotheses, and each one's margin m, given the (k,) largest
     |entry| e of R^T R - I. RANSAC (:func:`_consensus_counts`) takes e from
-    ``geom3d._check_rigid_stack``; si (:func:`_si_screened_vote`) from
+    ``geom3d._check_rigid_stack``; si (:func:`group_si`) from
     ``geom3d._rotation_faults`` on M^T, which does not raise where a motion
     built from two valid frames is a little past that check's 1e-9.
 
@@ -807,19 +807,17 @@ def _si_global_vote(motions: np.ndarray, src: np.ndarray, tgt: np.ndarray,
     return dist <= limit
 
 
-def _si_screened_vote(screen: _Screen, table: np.ndarray, motions: np.ndarray, gram_error: np.ndarray,
+def _si_screened_vote(table: np.ndarray, coef: np.ndarray, margin: np.ndarray, motions: np.ndarray,
                       src: np.ndarray, tgt: np.ndarray, voter_src_t: np.ndarray,
-                      voter_tgt_t: np.ndarray) -> np.ndarray:
+                      voter_tgt_t: np.ndarray, limit: float) -> np.ndarray:
     """The mask of :func:`_si_global_vote`, read off RANSAC's consensus screen.
 
     Candidate r is the hypothesis (M_r, q_r - M_r p_r) and the voters are
-    its pairs: ``table`` is their :func:`_screen_table`, ``screen`` spans
-    every candidate and voter, and ``gram_error`` is each motion's largest
-    |entry| of M^T M - I. A row whose margin (:func:`_screen_rows`) does
-    not decide every voter is recounted by :func:`_si_global_vote`.
+    its pairs: ``table`` is their :func:`_screen_table`, and ``coef`` and
+    ``margin`` are the candidates' :func:`_screen_rows` on a screen that
+    spans every candidate and voter. A row whose margin does not decide
+    every voter is recounted by :func:`_si_global_vote`.
     """
-    tra = tgt - np.matmul(motions, src[:, :, None])[:, :, 0]
-    coef, margin = _screen_rows(screen, motions, tra, gram_error)
     # A product that overflows gives inf or NaN, which the recount takes.
     with np.errstate(over="ignore", invalid="ignore"):
         screened = coef @ table
@@ -829,7 +827,7 @@ def _si_screened_vote(screen: _Screen, table: np.ndarray, motions: np.ndarray, g
     redo = np.flatnonzero(~(inside | (screened > bound)).all(axis=1))
     if redo.size:
         inside[redo] = _si_global_vote(motions[redo], src[redo], tgt[redo],
-                                       voter_src_t, voter_tgt_t, screen.limit)
+                                       voter_src_t, voter_tgt_t, limit)
     return inside
 
 
@@ -856,8 +854,9 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     survivors and the global voters, the same columns for every row, so a
     block computes it on those columns alone, gathered from its whole rows
     of lengths (which the kappa-nearest selection needs). The global vote is
-    read off RANSAC's consensus screen (:func:`_si_screened_vote`): one
-    (rows, 17) by (17, kappa) product per block, with each row whose proven
+    read off RANSAC's consensus screen (:func:`_si_screened_vote`): every
+    candidate's screen row is built once per call, then one (rows, 17) by
+    (17, kappa) product per block, with each row whose proven
     margin does not decide every voter recounted exactly on (rows, kappa)
     coordinate planes (:func:`_si_global_vote`), its squared
     residuals compared with ``_squared_limit(delta)`` in place of a norm.
@@ -883,13 +882,15 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     others[global_voters] = False
     read = np.concatenate([global_voters, np.flatnonzero(others)])
     motions = _frame_motions(cset.source_frames, cset.target_frames)
-    gram_error = _rotation_faults(motions.transpose(0, 2, 1))[1]
     # Coordinate-major voters: each coordinate is one contiguous row.
     voter_src_t = src[global_voters].T.copy()
     voter_tgt_t = tgt[global_voters].T.copy()
     delta = params.si_delta_pr * cset.source_resolution_pr
     screen = _consensus_screen(src, tgt, delta, _squared_limit(delta))
     table = _screen_table(screen, src[global_voters], tgt[global_voters])
+    # Every candidate's screen row, built once: candidate r is (M_r, q_r - M_r p_r).
+    coef, margin = _screen_rows(screen, motions, tgt - np.matmul(motions, src[:, :, None])[:, :, 0],
+                                _rotation_faults(motions.transpose(0, 2, 1))[1])
 
     local_voters = np.empty(n, dtype=np.int64)
     local_votes = np.empty(n, dtype=np.int64)
@@ -922,7 +923,8 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
         local_votes[rows] = (np.take(near, read, axis=1) & rigid).view(np.uint8).sum(axis=1, dtype=np.uint32)
 
         vote_mask[rows] = rigid[:, :kappa] & _si_screened_vote(
-            screen, table, motions[rows], gram_error[rows], src[rows], tgt[rows], voter_src_t, voter_tgt_t)
+            table, coef[rows], margin[rows], motions[rows], src[rows], tgt[rows],
+            voter_src_t, voter_tgt_t, screen.limit)
     # A candidate in the voter pool trivially agrees with its own induced
     # motion; without the self-vote the zero self-rigidity (duplicate-pair
     # rule) would cap perfect candidates below score 1.

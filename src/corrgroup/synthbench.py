@@ -147,12 +147,21 @@ def _axis_rotations(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return rot
 
 
-def make_test_model(kind: str, n_points: int, seed: int) -> PointCloud:
-    """Deterministic procedural model cloud: sphere, torus, or bumpy plane."""
+def _check_model(kind: str, n_points: int, n_total: int = 0) -> None:
+    """The test model rules: raise ``ValueError`` unless ``kind`` is known,
+    the model has at least 100 points, and ``n_total`` correspondences, one
+    keypoint per model point, fit on it."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     if n_points < 100:
         raise ValueError("n_points must be >= 100")
+    if n_total > n_points:
+        raise ValueError("n_total exceeds the number of model points")
+
+
+def make_test_model(kind: str, n_points: int, seed: int) -> PointCloud:
+    """Deterministic procedural model cloud: sphere, torus, or bumpy plane."""
+    _check_model(kind, n_points)
     rng = np.random.default_rng(seed)
     if kind == "sphere":
         return PointCloud(_unit_vectors(rng, n_points))

@@ -77,6 +77,20 @@ class TestParseLevels:
             parse_levels(spec)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("synth", "--model-points", "50", "--n", "10"), "n_points must be >= 100"),
+    (("sweep", "--axis", "n-correspondences", "--levels", "100,5000", "--algo", "ss"),
+     "n_total exceeds the number of model points"),
+    (("bench", "--sizes", "100,5000", "--algo", "ss"), "n_total exceeds the number of model points"),
+])
+def test_model_size_errors_exit_2_before_any_set(tmp_path, capsys, generated_sets, argv, message):
+    out = ("--out-dir", str(tmp_path / "out")) if argv[0] == "synth" else ("--out", str(tmp_path / "out.csv"))
+    assert run_cli(*argv, *out) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert generated_sets == []
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSynth:
     def test_writes_files_and_summary(self, tmp_path, capsys):
         code = run_cli(

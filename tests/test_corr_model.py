@@ -10,7 +10,6 @@ from corrgroup import (
     distance_compatibility,
     load_correspondences,
     load_ground_truth,
-    rigidity_score,
     save_correspondences,
     save_ground_truth,
     strip_lrfs,
@@ -22,6 +21,22 @@ from corrgroup.synthbench import random_rotation
 def corr(src, tgt, sim=0.9, nn=0.1, d2=0.5, source_lrf=None, target_lrf=None):
     return Correspondence(np.asarray(src, float), np.asarray(tgt, float),
                           sim, nn, d2, source_lrf, target_lrf)
+
+
+def rigidity_score(c1, c2):
+    """Length-ratio compatibility of two correspondences, in [0, 1]: the
+    record-level oracle of ``corr_model._rigidity_from_lengths``.
+
+    With d_s and d_t the source- and target-side segment lengths, the score
+    is min(d_s/d_t, d_t/d_s). Any zero length (duplicate keypoints) scores
+    0 so that duplicated correspondences cannot reinforce each other. The
+    lengths come from ``np.linalg.norm``, not the kernel's ``cdist``.
+    """
+    d_s = float(np.linalg.norm(c1.source_point - c2.source_point))
+    d_t = float(np.linalg.norm(c1.target_point - c2.target_point))
+    if d_s == 0.0 or d_t == 0.0:
+        return 0.0
+    return min(d_s / d_t, d_t / d_s)
 
 
 def make_set(pairs, pr=1.0, gt=None):

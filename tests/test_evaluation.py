@@ -286,8 +286,10 @@ class TestRunSweep:
         assert serial == parallel
 
     def test_error_carries_context(self):
-        plan = small_plan(axis="n_correspondences", levels=(40.0, 999999.0), trials=1)
-        with pytest.raises(RuntimeError, match="level=999999"):
+        # Every model point as a keypoint passes the plan's checks, but three
+        # of the 1200 have no stable frame, so the cell fails at run time.
+        plan = small_plan(axis="n_correspondences", levels=(40.0, 1200.0), trials=1)
+        with pytest.raises(RuntimeError, match="level=1200.0 trial=0: only 1197 of 1200 keypoints"):
             run_sweep(plan, algorithms=("ss",))
 
     def test_unknown_algorithm_rejected(self):
@@ -328,6 +330,18 @@ class TestRunSweep:
     def test_spec_rejects_infinite_epsilon(self):
         with pytest.raises(ValueError, match="^epsilon_pr must be positive and finite$"):
             InstanceSpec(epsilon_pr=float("inf"))
+
+    def test_spec_checks_the_model_and_the_set_size(self):
+        with pytest.raises(ValueError, match="unknown model kind"):
+            InstanceSpec(model_kind="cube")
+        with pytest.raises(ValueError, match="n_points must be >= 100"):
+            InstanceSpec(model_points=50, corr=CorrespondenceRecipe(n_total=10))
+        with pytest.raises(ValueError, match="n_total exceeds the number of model points"):
+            InstanceSpec(model_points=1200, corr=CorrespondenceRecipe(n_total=1201))
+
+    def test_plan_rejects_a_level_larger_than_the_model(self):
+        with pytest.raises(ValueError, match="n_total exceeds the number of model points"):
+            small_plan(axis="n_correspondences", levels=(100, 5000))
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -7,7 +7,6 @@ from corrgroup import (
     InsufficientSupportError,
     PointCloud,
     RigidTransform,
-    apply_transform,
     compute_resolution,
     estimate_lrf,
     estimate_rigid_transform,
@@ -19,6 +18,16 @@ def grid_cloud(side=5, spacing=1.0):
     axis = np.arange(side) * spacing
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     return PointCloud(np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()]))
+
+
+def inverse(t):
+    """The rigid motion that undoes ``t``."""
+    return RigidTransform(t.rotation.T, -(t.rotation.T @ t.translation))
+
+
+def compose(a, b):
+    """The rigid motion of applying ``b``, then ``a``."""
+    return RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
 def brute_force_resolution(points):
@@ -46,7 +55,7 @@ class TestResolution:
     def test_matches_linear_scan_with_duplicates(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(200, 3))
-        pts[50] = pts[10]  # duplicate point: nearest distinct neighbor at distance 0
+        pts[50] = pts[10]  # duplicate point: nearest other point at distance 0
         assert compute_resolution(PointCloud(pts)) == pytest.approx(
             brute_force_resolution(pts), abs=1e-12)
 
@@ -62,7 +71,7 @@ class TestResolution:
 class TestRigidTransform:
     def test_identity_roundtrip(self):
         cloud = grid_cloud(side=3)
-        out = apply_transform(RigidTransform.identity(), cloud)
+        out = PointCloud(RigidTransform.identity().apply(cloud.points))
         np.testing.assert_array_equal(out.points, cloud.points)
 
     def test_pure_translation(self):
@@ -78,7 +87,7 @@ class TestRigidTransform:
         rng = np.random.default_rng(2)
         cloud = PointCloud(rng.normal(size=(60, 3)))
         t = RigidTransform(random_rotation(rng), rng.normal(size=3))
-        out = apply_transform(t, cloud)
+        out = PointCloud(t.apply(cloud.points))
         before = np.linalg.norm(cloud.points[:, None] - cloud.points[None], axis=2)
         after = np.linalg.norm(out.points[:, None] - out.points[None], axis=2)
         assert np.abs(before - after).max() < 1e-9
@@ -92,7 +101,7 @@ class TestRigidTransform:
     def test_inverse_composes_to_identity(self):
         rng = np.random.default_rng(3)
         t = RigidTransform(random_rotation(rng), rng.normal(size=3))
-        identity = t.compose(t.inverse())
+        identity = compose(t, inverse(t))
         np.testing.assert_allclose(identity.rotation, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(identity.translation, 0.0, atol=1e-12)
 
@@ -119,7 +128,7 @@ class TestEstimateRigidTransform:
         src = rng.normal(size=(5, 3))
         truth = RigidTransform(random_rotation(rng), rng.normal(size=3))
         est = estimate_rigid_transform(src, truth.apply(src))
-        residual = est.compose(truth.inverse())
+        residual = compose(est, inverse(truth))
         assert np.linalg.norm(residual.rotation - np.eye(3)) < 1e-9
         assert np.linalg.norm(residual.translation) < 1e-9
 

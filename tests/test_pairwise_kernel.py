@@ -17,7 +17,6 @@ from corrgroup import (
     group_gc,
     group_si,
     group_st,
-    rigidity_score,
 )
 from corrgroup.corr_model import (
     _rigidity_from_lengths,
@@ -25,6 +24,7 @@ from corrgroup.corr_model import (
     pairwise_lengths,
     pairwise_rigidity,
 )
+from test_corr_model import rigidity_score
 
 REL = 1e-12  # cdist and the scalar norm round differently, by a few ulp
 

@@ -73,11 +73,13 @@ def screened_vote(motions, src, tgt, voter_src, voter_tgt, delta):
     screen = grouping._consensus_screen(np.vstack([src, voter_src]), np.vstack([tgt, voter_tgt]),
                                         delta, grouping._squared_limit(delta))
     table = grouping._screen_table(screen, voter_src, voter_tgt)
-    gram_error = grouping._rotation_faults(motions.transpose(0, 2, 1))[1]
+    tra = tgt - np.matmul(motions, src[:, :, None])[:, :, 0]
+    coef, margin = grouping._screen_rows(screen, motions, tra,
+                                         grouping._rotation_faults(motions.transpose(0, 2, 1))[1])
     recount = mock.Mock(wraps=grouping._si_global_vote)
     with mock.patch.object(grouping, "_si_global_vote", recount):
-        mask = grouping._si_screened_vote(screen, table, motions, gram_error, src, tgt,
-                                          voter_src.T.copy(), voter_tgt.T.copy())
+        mask = grouping._si_screened_vote(table, coef, margin, motions, src, tgt,
+                                          voter_src.T.copy(), voter_tgt.T.copy(), screen.limit)
     return mask, sum(len(call.args[0]) for call in recount.call_args_list)
 
 
@@ -126,8 +128,9 @@ def si_peak_bytes(n):
 
 
 def test_si_memory_is_under_a_fixed_bound():
-    # Measured at 2.59 MiB (n = 1000) and 3.57 MiB (n = 4000); the bounds
+    # Measured at 1.73 MiB (n = 1000) and 3.14 MiB (n = 4000), with every
+    # candidate's (n, 17) screen rows held through the blocks; the bounds
     # leave 0.3 MiB.
-    for n, bound in ((1000, 2.9 * 2**20), (4000, 3.9 * 2**20)):
+    for n, bound in ((1000, 2.04 * 2**20), (4000, 3.44 * 2**20)):
         peak = si_peak_bytes(n)
         assert peak < bound, f"n={n}: peak of {peak / 2**20:.2f} MiB"
