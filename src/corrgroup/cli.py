@@ -40,6 +40,7 @@ from .synthbench import (
     CorrespondenceRecipe,
     SceneRecipe,
     SimilarityModel,
+    _check_set_size,
 )
 
 AXIS_FLAGS = {
@@ -304,6 +305,10 @@ def _worker_count() -> int:
 
 def cmd_synth(args) -> int:
     spec, seed = _spec_from_args(args)
+    try:
+        _check_set_size(spec.corr.n_total, spec.model_points)
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from None
     out_dir = Path(_pick(args, "out_dir", "."))
     prefix = _pick(args, "prefix", "synth")
     out_dir.mkdir(parents=True, exist_ok=True)

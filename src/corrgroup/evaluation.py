@@ -44,7 +44,7 @@ from .grouping import (
     group_ss,
     group_st,
 )
-from .synthbench import DEFAULT_EPSILON_PR, CorrespondenceRecipe, SceneRecipe, _check_model
+from .synthbench import DEFAULT_EPSILON_PR, CorrespondenceRecipe, SceneRecipe, _check_model, _check_set_size
 from .synthbench import generate_correspondences, generate_scene, make_test_model
 
 SWEEP_AXES = (
@@ -195,8 +195,9 @@ def run_algorithm(
 class InstanceSpec:
     """Base model, recipes, and parameters shared by a sweep or benchmark.
 
-    The model and the set size are checked here, so a plan of specs fails
-    before any set is generated."""
+    The model is checked here; whether a set fits on it is checked on each
+    spec that is generated (:func:`_spec_at`), as a sweep over the set size
+    replaces this spec's own."""
 
     model_kind: str = "torus"
     model_points: int = 4000
@@ -207,7 +208,7 @@ class InstanceSpec:
     epsilon_pr: float = DEFAULT_EPSILON_PR
 
     def __post_init__(self):
-        _check_model(self.model_kind, self.model_points, self.corr.n_total)
+        _check_model(self.model_kind, self.model_points)
         _check_tolerance(self.epsilon_pr, "epsilon_pr")
 
 
@@ -239,20 +240,24 @@ class SweepPlan:
 def _spec_at(spec: InstanceSpec, axis: str, level: float) -> InstanceSpec:
     """``spec`` with the field that nuisance ``axis`` sweeps set to ``level``.
 
-    The recipe or spec that owns the field validates the level, so a sweep
-    or bench plan can be checked before any set is generated.
+    The recipe or spec that owns the field validates the level, and the
+    level's set must fit on the model, so a sweep or bench plan can be
+    checked before any set is generated.
     """
     if axis == "noise_sigma_pr":
-        return replace(spec, scene=replace(spec.scene, noise_sigma_pr=level))
-    if axis == "downsample_ratio":
-        return replace(spec, scene=replace(spec.scene, downsample_ratio=level))
-    if axis == "inlier_ratio":
-        return replace(spec, corr=replace(spec.corr, inlier_ratio=level))
-    if axis == "n_correspondences":
+        spec = replace(spec, scene=replace(spec.scene, noise_sigma_pr=level))
+    elif axis == "downsample_ratio":
+        spec = replace(spec, scene=replace(spec.scene, downsample_ratio=level))
+    elif axis == "inlier_ratio":
+        spec = replace(spec, corr=replace(spec.corr, inlier_ratio=level))
+    elif axis == "n_correspondences":
         if not float(level).is_integer():
             raise ValueError(f"n_correspondences levels must be integers, got {level!r}")
-        return replace(spec, corr=replace(spec.corr, n_total=int(level)))
-    return replace(spec, epsilon_pr=level)  # the epsilon_pr axis
+        spec = replace(spec, corr=replace(spec.corr, n_total=int(level)))
+    else:  # the epsilon_pr axis
+        spec = replace(spec, epsilon_pr=level)
+    _check_set_size(spec.corr.n_total, spec.model_points)
+    return spec
 
 
 @lru_cache(maxsize=8)

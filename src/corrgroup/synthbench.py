@@ -147,14 +147,18 @@ def _axis_rotations(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return rot
 
 
-def _check_model(kind: str, n_points: int, n_total: int = 0) -> None:
-    """The test model rules: raise ``ValueError`` unless ``kind`` is known,
-    the model has at least 100 points, and ``n_total`` correspondences, one
-    keypoint per model point, fit on it."""
+def _check_model(kind: str, n_points: int) -> None:
+    """The test model rules: raise ``ValueError`` unless ``kind`` is known
+    and the model has at least 100 points."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     if n_points < 100:
         raise ValueError("n_points must be >= 100")
+
+
+def _check_set_size(n_total: int, n_points: int) -> None:
+    """Raise ``ValueError`` unless ``n_total`` correspondences, one keypoint
+    per model point, fit on a model of ``n_points`` points."""
     if n_total > n_points:
         raise ValueError("n_total exceeds the number of model points")
 
@@ -238,8 +242,7 @@ def generate_correspondences(
     """
     del scene
     n_total = recipe.n_total
-    if n_total > len(model):
-        raise ValueError("n_total exceeds the number of model points")
+    _check_set_size(n_total, len(model))
     resolution = model.resolution
     rng = np.random.default_rng(recipe.rng_seed)
 

@@ -79,6 +79,7 @@ class TestParseLevels:
 
 @pytest.mark.parametrize("argv, message", [
     (("synth", "--model-points", "50", "--n", "10"), "n_points must be >= 100"),
+    (("synth", "--model-points", "150", "--n", "200"), "n_total exceeds the number of model points"),
     (("sweep", "--axis", "n-correspondences", "--levels", "100,5000", "--algo", "ss"),
      "n_total exceeds the number of model points"),
     (("bench", "--sizes", "100,5000", "--algo", "ss"), "n_total exceeds the number of model points"),
@@ -89,6 +90,17 @@ def test_model_size_errors_exit_2_before_any_set(tmp_path, capsys, generated_set
     assert f"error: {message}" in capsys.readouterr().err
     assert generated_sets == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--axis", "n-correspondences", "--levels", "40,60", "--trials", "1"),
+    ("bench", "--sizes", "40,60", "--repeats", "1"),
+])
+def test_set_size_axis_checks_each_level_not_the_default_n(tmp_path, argv):
+    # The default --n of 1000 exceeds the 600-point model, but only the
+    # swept sizes are generated, and they fit.
+    assert run_cli(*argv, "--model-points", "600", "--algo", "ss", "--out", str(tmp_path / "out.csv")) == 0
+    assert (tmp_path / "out.csv").exists()
 
 
 class TestSynth:

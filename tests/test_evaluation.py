@@ -331,17 +331,27 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="^epsilon_pr must be positive and finite$"):
             InstanceSpec(epsilon_pr=float("inf"))
 
-    def test_spec_checks_the_model_and_the_set_size(self):
+    def test_spec_checks_the_model(self):
         with pytest.raises(ValueError, match="unknown model kind"):
             InstanceSpec(model_kind="cube")
         with pytest.raises(ValueError, match="n_points must be >= 100"):
             InstanceSpec(model_points=50, corr=CorrespondenceRecipe(n_total=10))
-        with pytest.raises(ValueError, match="n_total exceeds the number of model points"):
-            InstanceSpec(model_points=1200, corr=CorrespondenceRecipe(n_total=1201))
 
     def test_plan_rejects_a_level_larger_than_the_model(self):
         with pytest.raises(ValueError, match="n_total exceeds the number of model points"):
             small_plan(axis="n_correspondences", levels=(100, 5000))
+        with pytest.raises(ValueError, match="n_total exceeds the number of model points"):
+            SweepPlan(axis="inlier_ratio", levels=(0.3, 0.7), trials_per_level=1,
+                      base=InstanceSpec(model_points=500))  # the default n_total of 1000
+        with pytest.raises(ValueError, match="n_total exceeds the number of model points"):
+            time_algorithms((100, 5000), ("ss",), InstanceSpec(), repeats=1)
+
+    def test_set_size_axis_checks_the_levels_not_the_base_set(self):
+        # The base spec's default n_total of 1000 does not fit on 500
+        # points, but a sweep over the set size generates only its levels.
+        plan = SweepPlan(axis="n_correspondences", levels=(100, 200), trials_per_level=1,
+                         base=InstanceSpec(model_points=500))
+        assert plan.levels == (100.0, 200.0)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
