@@ -40,7 +40,6 @@ from .synthbench import (
     CorrespondenceRecipe,
     SceneRecipe,
     SimilarityModel,
-    _check_set_size,
 )
 
 AXIS_FLAGS = {
@@ -305,8 +304,8 @@ def _worker_count() -> int:
 
 def cmd_synth(args) -> int:
     spec, seed = _spec_from_args(args)
-    try:
-        _check_set_size(spec.corr.n_total, spec.model_points)
+    try:  # the checks of every spec a sweep or bench generates
+        evaluation._spec_at(spec, "n_correspondences", spec.corr.n_total)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from None
     out_dir = Path(_pick(args, "out_dir", "."))

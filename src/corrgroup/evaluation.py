@@ -45,7 +45,7 @@ from .grouping import (
     group_st,
 )
 from .synthbench import DEFAULT_EPSILON_PR, CorrespondenceRecipe, SceneRecipe, _check_model, _check_set_size
-from .synthbench import generate_correspondences, generate_scene, make_test_model
+from .synthbench import _kept_count, generate_correspondences, generate_scene, make_test_model
 
 SWEEP_AXES = (
     "noise_sigma_pr",
@@ -195,9 +195,9 @@ def run_algorithm(
 class InstanceSpec:
     """Base model, recipes, and parameters shared by a sweep or benchmark.
 
-    The model is checked here; whether a set fits on it is checked on each
-    spec that is generated (:func:`_spec_at`), as a sweep over the set size
-    replaces this spec's own."""
+    The model is checked here; whether a set and a downsampled scene fit
+    on it is checked on each spec that is generated (:func:`_spec_at`), as
+    a sweep replaces this spec's own set size or ratio."""
 
     model_kind: str = "torus"
     model_points: int = 4000
@@ -241,8 +241,8 @@ def _spec_at(spec: InstanceSpec, axis: str, level: float) -> InstanceSpec:
     """``spec`` with the field that nuisance ``axis`` sweeps set to ``level``.
 
     The recipe or spec that owns the field validates the level, and the
-    level's set must fit on the model, so a sweep or bench plan can be
-    checked before any set is generated.
+    level's set and downsampled scene must fit on the model, so a sweep or
+    bench plan can be checked before any set is generated.
     """
     if axis == "noise_sigma_pr":
         spec = replace(spec, scene=replace(spec.scene, noise_sigma_pr=level))
@@ -257,6 +257,7 @@ def _spec_at(spec: InstanceSpec, axis: str, level: float) -> InstanceSpec:
     else:  # the epsilon_pr axis
         spec = replace(spec, epsilon_pr=level)
     _check_set_size(spec.corr.n_total, spec.model_points)
+    _kept_count(spec.scene.downsample_ratio, spec.model_points)
     return spec
 
 

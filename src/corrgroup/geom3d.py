@@ -145,35 +145,6 @@ def _check_rigid_stack(rotations: np.ndarray, translations: np.ndarray) -> np.nd
     return error
 
 
-def _surely_not_collinear(centered: np.ndarray) -> np.ndarray:
-    """(k,) mask of the (k, m, 3) centered samples that pass the collinearity
-    rule of :func:`_fit_rigid_stack` for certain, read off G = C^T C.
-
-    G has eigenvalues s0^2 >= s1^2 >= s2^2, trace F = s0^2 + s1^2 + s2^2 and
-    principal 2 x 2 minors summing to S2 = s0^2 s1^2 + s0^2 s2^2 + s1^2 s2^2,
-    so S2 / F^2 <= 3 (s1 / s0)^2. A row passes when S2 > tol * F^2 with
-    tol = 1e-10 + 8 (m + 3) eps: the m-term sums in G and the few operations
-    after them move S2 by at most about (m + 2) eps F^2 and F^2 by about
-    (m + 4) eps F^2, so the exact S2 / F^2 exceeds 1e-10 and s1 / s0 > 5.7e-6,
-    far above the 1e-9 of the rule and the SVD's own error of a small multiple
-    of eps. The trace range keeps every product in G, F^2 and S2 normal and
-    finite; rows outside it, and NaN rows, do not pass.
-    """
-    m = centered.shape[1]
-    tol = 1e-10 + 8 * (m + 3) * np.finfo(np.float64).eps
-    # Overflow only makes rows that fail the trace range inf or NaN.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = centered.transpose(0, 2, 1) @ centered
-        diag = np.diagonal(gram, axis1=1, axis2=2)
-        trace = diag.sum(axis=1)
-        off = gram[:, [0, 1, 2], [1, 2, 0]]
-        s2 = diag * diag[:, [1, 2, 0]]
-        del gram, diag  # in place from here, to keep a stack's fit below RANSAC's memory peak
-        s2 -= np.square(off, out=off)
-        s2 = s2.sum(axis=1)
-        return (trace > 1e-100) & (trace < 1e100) & (s2 > tol * trace * trace)
-
-
 TRIANGLE_CERTIFY = 2.0 ** -10
 
 
@@ -223,10 +194,11 @@ def _plane_turns(length: np.ndarray, along: np.ndarray, across: np.ndarray) -> t
     return c, s, sign, gap
 
 
-def _triangle_rotations(source: np.ndarray, target: np.ndarray, rot: np.ndarray) -> np.ndarray:
+def _triangle_rotations(source: np.ndarray, target: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotations R maximising tr(R H) for a (k, 3, 3) stack of three-point
     samples, H the cross-covariance of their centred points, written into
-    the (k, 3, 3) ``rot``; returns the (k,) mask of the rows it certifies.
+    the (k, 3, 3) ``rot``; returns the (k,) masks of the rows it certifies
+    and of the source triangles it proves not collinear.
 
     A triangle p0 p1 p2 with edges e1 = p1 - p0, e2 = p2 - p0 has the frame
     a = e1 / |e1|, n = (e1 × e2) / |e1 × e2|, b = n × a, in which it is the
@@ -247,6 +219,21 @@ def _triangle_rotations(source: np.ndarray, target: np.ndarray, rot: np.ndarray)
     of the SVD fit of the exactly centred points, entrywise, the last term
     that fit's sensitivity, and at most 3.7e-13 from it. Uncertified rows of
     ``rot`` hold no fit; the caller gives them the SVD rule.
+
+    Proof: a source triangle passes the rule of :func:`_fit_rigid_stack` for
+    certain when its squared edges lie in (1e-100, 1e100), A = |e1 × e2|^2 >=
+    1.2e-9 M^2 with M = max(|e1|^2, |e2|^2), and M >= 1e-24 |p0|^2. Its centred
+    points have s2 = 0, s0^2 s1^2 = A / 3 and s0^2 + s1^2 <= 2 M, so (s1 / s0)^2
+    >= A / (12 M^2): s1 / s0 >= 1e-5, four decades above the rule's 1e-9.
+    Rounding: the edges and the cancellation in e1 × e2 err by about eps M, and
+    |e1 × e2| >= 3.4e-5 M, so the computed A is within about 1e-11 of the exact
+    one, relatively. The SVD's input p - mean has a mean within |d| <= 2.4 eps
+    (|p0| + sqrt M) <= 1.3e-3 s0 of the exact one. Where the subtraction is
+    exact, the input is c_i - d, with Gram C^T C + 3 d d^T (the c_i sum to 0):
+    s1 cannot fall and s0^2 grows by at most 3 |d|^2 <= 5e-6 s0^2; otherwise its
+    entrywise rounding of eps / 2 moves each singular value by at most eps / 2
+    of its Frobenius norm. The SVD's own error is a few eps s0. Without the last
+    condition a triangle of 1e-30 at x = 1.9 can fail the rule, d an ulp of 1.9.
     """
     k = len(source)
     # Edges as (coordinate, side, row), side 0 the source and 1 the target.
@@ -254,16 +241,18 @@ def _triangle_rotations(source: np.ndarray, target: np.ndarray, rot: np.ndarray)
     for side, points in enumerate((source, target)):
         np.subtract(points[:, 1], points[:, 0], out=e1[:, side].T)
         np.subtract(points[:, 2], points[:, 0], out=e2[:, side].T)
-    # Rows out of range overflow or divide by zero; they are not certified.
+    # Rows out of range overflow or divide by zero; they are neither certified nor proven.
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         sq1, sq2, along = _dot3(e1, e1), _dot3(e2, e2), _dot3(e1, e2)
         normal = _cross3(e1, e2)
         del e2
         area_sq = _dot3(normal, normal)
-        certified = area_sq >= TRIANGLE_CERTIFY * TRIANGLE_CERTIFY * sq1 * sq2
-        certified &= (np.minimum(sq1, sq2) > 1e-100) & (np.maximum(sq1, sq2) < 1e100)
+        in_range = (np.minimum(sq1, sq2) > 1e-100) & (np.maximum(sq1, sq2) < 1e100)
+        top, corner = np.maximum(sq1[0], sq2[0]), source[:, 0].T
+        proven = in_range[0] & (area_sq[0] >= 1.2e-9 * top * top) & (top >= 1e-24 * _dot3(corner, corner))
+        certified = in_range & (area_sq >= TRIANGLE_CERTIFY * TRIANGLE_CERTIFY * sq1 * sq2)
         length, area = np.sqrt(sq1), np.sqrt(area_sq)
-        del sq1, sq2, area_sq
+        del sq1, sq2, area_sq, in_range, top
         a = np.divide(e1, length, out=e1)
         normal /= area
         c, s, sign, gap = _plane_turns(length, along / length, area / length)
@@ -280,7 +269,7 @@ def _triangle_rotations(source: np.ndarray, target: np.ndarray, rot: np.ndarray)
             np.multiply(a[i, 1], turned_a, out=row)
             row += b[i, 1] * turned_b
             row += normal[i, 1] * n_s
-    return certified
+    return certified, proven
 
 
 def _kabsch_rotations(src_c: np.ndarray, tgt_c: np.ndarray) -> np.ndarray:
@@ -306,9 +295,10 @@ def _fit_rigid_stack(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
     about the line is unconstrained.
 
     The collinearity rule is on the singular values s0 >= s1 of the centered
-    source points: degenerate when s0 <= 0 or s1 < 1e-9 * s0. A screen on
-    their Gram matrix G passes most samples without that SVD; every sample
-    it does not pass gets the SVD rule, so the verdicts are the rule's.
+    source points: degenerate when s0 <= 0 or s1 < 1e-9 * s0. For three-point
+    samples, :func:`_triangle_rotations` proves most triangles pass it from
+    their edges; every other sample gets the SVD rule, so the verdicts are
+    the rule's.
 
     Each rotation maximises tr(R H) over the cross-covariance H of the
     centered coordinates: in closed form for the three-point samples
@@ -317,22 +307,20 @@ def _fit_rigid_stack(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
     """
     src_mean = source.mean(axis=1)
     tgt_mean = target.mean(axis=1)
-    src_c = source - src_mean[:, None, :]
-
-    fitted = _surely_not_collinear(src_c)
+    rot = np.empty((len(source), 3, 3))
+    certified, fitted = np.zeros((2, len(source)), dtype=bool)
+    if source.shape[1] == 3:
+        certified, fitted = _triangle_rotations(source, target, rot)
     rest = ~fitted
     if rest.any():
         # The third singular value is ~0 for any planar sample (e.g. every
         # 3-point sample), which is fine.
-        sv = np.linalg.svd(src_c[rest], compute_uv=False)
+        sv = np.linalg.svd(source[rest] - src_mean[rest, None, :], compute_uv=False)
         fitted[rest] = ~((sv[:, 0] <= 0.0) | (sv[:, 1] < 1e-9 * sv[:, 0]))
-        source, target, src_mean, tgt_mean = (x[fitted] for x in (source, target, src_mean, tgt_mean))
-    del src_c  # freed before the closed form allocates its rows
+        rot, source, target, src_mean, tgt_mean, certified = (
+            x[fitted] for x in (rot, source, target, src_mean, tgt_mean, certified))
 
-    rot = np.empty((len(source), 3, 3))
-    rest = np.ones(len(source), dtype=bool)
-    if source.shape[1] == 3:
-        rest = ~_triangle_rotations(source, target, rot)
+    rest = ~certified
     if rest.any():
         rot[rest] = _kabsch_rotations(source[rest] - src_mean[rest, None, :],
                                       target[rest] - tgt_mean[rest, None, :])

@@ -222,18 +222,18 @@ POWER_TOL = 1e-10
 POWER_MAX_ITER = 10000
 
 
-def _power_iterate(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, bool]:
+def _power_iterate(matrix: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Power iteration from the uniform vector; L2-normalized iterates."""
     n = matrix.shape[0]
     v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = matrix @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             # v is an exact eigenvector of the zero map.
             return v, 0.0, True
         w /= norm
-        if float(np.abs(w - v).max()) < tol:
+        if float(np.abs(w - v).max()) < POWER_TOL:
             return w, float(w @ (matrix @ w)), True
         v = w
     return v, float(v @ (matrix @ v)), False
@@ -257,7 +257,7 @@ def principal_eigenvector(matrix) -> tuple[np.ndarray, float]:
         raise ValueError("matrix must be symmetric")
     if (m < 0).any():
         raise ValueError("matrix entries must be non-negative")
-    vector, value, converged = _power_iterate(m, POWER_TOL, POWER_MAX_ITER)
+    vector, value, converged = _power_iterate(m)
     if not converged:
         raise NonConvergenceError("eigen non-convergence")
     return vector, value
@@ -672,7 +672,7 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     # The public helper raises at the iteration cap; here the capped
     # iterate is still a usable ranking, and this algorithm's contract is
     # to never fail on valid input.
-    vector, _, _ = _power_iterate(matrix, POWER_TOL, POWER_MAX_ITER)
+    vector, _, _ = _power_iterate(matrix)
 
     order = np.argsort(-vector, kind="stable")
     # Coordinate tuples compare like the arrays (-0.0 == 0.0; columns are finite).

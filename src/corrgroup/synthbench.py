@@ -163,6 +163,14 @@ def _check_set_size(n_total: int, n_points: int) -> None:
         raise ValueError("n_total exceeds the number of model points")
 
 
+def _kept_count(ratio: float, n_points: int) -> int:
+    """ratio * n_points rounded half up, the points a downsampled scene keeps; raise ``ValueError`` below 2."""
+    keep_count = int(math.floor(ratio * n_points + 0.5))
+    if keep_count < 2:
+        raise ValueError("downsampling would leave fewer than 2 points")
+    return keep_count
+
+
 def make_test_model(kind: str, n_points: int, seed: int) -> PointCloud:
     """Deterministic procedural model cloud: sphere, torus, or bumpy plane."""
     _check_model(kind, n_points)
@@ -211,9 +219,7 @@ def generate_scene(model: PointCloud, recipe: SceneRecipe) -> tuple[PointCloud, 
     rng = np.random.default_rng(recipe.rng_seed)
     points = points + rng.normal(0.0, recipe.noise_sigma_pr * resolution, size=points.shape)
 
-    keep_count = int(math.floor(recipe.downsample_ratio * len(points) + 0.5))
-    if keep_count < 2:
-        raise ValueError("downsampling would leave fewer than 2 points")
+    keep_count = _kept_count(recipe.downsample_ratio, len(points))
     if keep_count < len(points):
         keep = np.sort(rng.choice(len(points), size=keep_count, replace=False))
         points = points[keep]

@@ -83,6 +83,11 @@ class TestParseLevels:
     (("sweep", "--axis", "n-correspondences", "--levels", "100,5000", "--algo", "ss"),
      "n_total exceeds the number of model points"),
     (("bench", "--sizes", "100,5000", "--algo", "ss"), "n_total exceeds the number of model points"),
+    (("synth", "--downsample-ratio", "0.0001"), "downsampling would leave fewer than 2 points"),
+    (("sweep", "--axis", "downsample", "--levels", "0.0001,0.5", "--algo", "ss"),
+     "downsampling would leave fewer than 2 points"),
+    (("bench", "--sizes", "40", "--repeats", "1", "--downsample-ratio", "0.0001", "--algo", "ss"),
+     "downsampling would leave fewer than 2 points"),
 ])
 def test_model_size_errors_exit_2_before_any_set(tmp_path, capsys, generated_sets, argv, message):
     out = ("--out-dir", str(tmp_path / "out")) if argv[0] == "synth" else ("--out", str(tmp_path / "out.csv"))

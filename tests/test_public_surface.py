@@ -6,6 +6,10 @@ or an Attribute node, in package code outside its own definition, or in
 nor does the import in ``__init__.py``. A name only the tests call belongs in
 the tests, as an oracle. The one exception is a name perfbench's tracer still
 reads by name, for as long as it does.
+
+Likewise every module-level function and class whose name starts with
+``_`` must be referenced by package code outside its own definition: a
+private helper only the tests call is dead code, or an oracle.
 """
 
 import ast
@@ -60,3 +64,16 @@ def test_every_export_has_a_caller(name):
     if references(ast.parse(ACCEPTANCE.read_text()), name):
         callers.append("test_acceptance")
     assert callers, f"corrgroup.{name} has no caller in the package or the acceptance tests"
+
+
+def private_helpers():
+    """(module, name) of every module-level function and class whose name starts with ``_``."""
+    return [(stem, node.name) for stem, tree in TREES.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+
+
+@pytest.mark.parametrize("stem, name", private_helpers())
+def test_every_private_helper_has_a_caller(stem, name):
+    definition = next(node for node in TREES[stem].body if defines(node, name))
+    assert any(references(tree, name, definition if other == stem else None) for other, tree in TREES.items()), \
+        f"corrgroup.{stem}.{name} has no caller in the package"

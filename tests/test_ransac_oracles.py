@@ -377,8 +377,9 @@ def test_closed_form_and_svd_rows_are_both_covered():
     src, tgt = (np.array(side) for side in zip(*[
         hard_sample(seed, 3, kind, noise, 1.0) for seed in range(4)
         for kind, noise in (("half-turn", 0.0), ("mirror", 0.1), ("collinear", 0.0), ("coincident", 0.0))]))
-    certified = geom3d._triangle_rotations(src, tgt, np.empty((len(src), 3, 3)))
+    certified, proven = geom3d._triangle_rotations(src, tgt, np.empty((len(src), 3, 3)))
     assert certified.tolist() == [True, True, False, False] * 4
+    assert proven.all()
     assert_stack_matches_scalar_fits(src, tgt)
 
 
@@ -597,9 +598,11 @@ def test_ransac_matches_loop_across_stack_and_chunk_edges(seed, n, inlier_share,
 
 def near_collinear_stack(seed, m, spread, offset):
     """(k, m, 3) source samples along a random line, each pushed off it by a
-    share of the spread (1e-3 down to 1e-15, and 0), then one with a repeated
-    point, one on the line with a repeated point and one with no spread at
-    all; and random (k, m, 3) targets. Also returns the shares."""
+    share of the spread (1e-3 down to 1e-15, and 0); then slivers, random
+    samples whose p1 is moved towards p0 to the same shares of its distance
+    (but 0); then one with a repeated point, one on the line with a repeated
+    point and one with no spread at all; and random (k, m, 3) targets. Also
+    returns the shares."""
     rng = np.random.default_rng(seed)
     line, normal = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
     shares = [10.0 ** -e for e in range(3, 16)] + [0.0]
@@ -612,6 +615,10 @@ def near_collinear_stack(seed, m, spread, offset):
         jitter = rng.uniform(-0.25, 0.25, size=(m, 1))
         off = sides * rng.uniform(0.5, 1.0, size=(m, 1)) * share
         samples.append(((along + jitter) * line + off * normal) * spread)
+    for share in shares[:-1]:
+        sliver = rng.normal(size=(m, 3))
+        sliver[1] = sliver[0] + share * (sliver[1] - sliver[0])
+        samples.append(sliver * spread)
     repeated = rng.normal(size=(m, 3)) * spread
     repeated[1] = repeated[0]
     samples.append(repeated)
@@ -631,13 +638,37 @@ def test_collinearity_screen_keeps_the_svd_verdicts(seed, m, spread, offset):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_collinearity_screen_passes_clear_samples_only(seed):
-    # Offsets of 1e-3 of the spread pass the screen without an SVD; at 1e-7
-    # and below the screen passes nothing, and the SVD rule decides.
-    src, _, shares = near_collinear_stack(seed, 3, 1.0, 0.0)
-    screened = geom3d._surely_not_collinear(src - src.mean(axis=1)[:, None, :])
-    assert screened[0]
-    assert not screened[[k for k, share in enumerate(shares) if share <= 1e-7]].any()
-    assert not screened[-1]
+    # Offsets of 1e-3 of the spread are proven not collinear without an SVD;
+    # at 1e-7 and below nothing is, and the SVD rule decides. Slivers at
+    # 1e-10 and below are not proven either: the angle at p0 is that of the
+    # random triangle, so it passes the rotation certificate's sine bound,
+    # yet the SVD rule calls the sample degenerate.
+    src, tgt, shares = near_collinear_stack(seed, 3, 1.0, 0.0)
+    _, proven = geom3d._triangle_rotations(src, tgt, np.empty((len(src), 3, 3)))
+    fitted = _fit_rigid_stack(src, tgt)[2]
+    thin = len(shares) + np.flatnonzero(np.array(shares[:-1]) <= 1e-10)
+    assert proven[0]
+    assert not proven[:len(shares)][np.array(shares) <= 1e-7].any()
+    assert not proven[thin].any() and not fitted[thin].any()
+    assert all(sine_at_first_point(src[k]) >= geom3d.TRIANGLE_CERTIFY for k in thin)
+    assert not proven[-1]
+
+
+def test_a_tiny_triangle_far_from_the_origin_takes_the_svd_rule():
+    # At x = a value whose mean of three copies rounds to its neighbour, a
+    # right triangle of legs 1e-30 is centred with a shift of an ulp of x,
+    # which the SVD rule sees: it calls the sample degenerate. The triangle
+    # pass must not prove it; legs of 1e-11 it proves.
+    x = next(v for v in np.linspace(1.5, 2.0, 1001) if np.mean([v, v, v]) != v)
+    legs = np.array([1e-30, 1e-20, 1e-13, 1e-11, 1e-3])
+    src = np.zeros((len(legs), 3, 3))
+    src[:, :, 0] = x
+    src[:, 1, 1] = src[:, 2, 2] = legs
+    tgt = src[:, ::-1].copy()
+    _, proven = geom3d._triangle_rotations(src, tgt, np.empty((len(src), 3, 3)))
+    assert proven.tolist() == [False, False, False, True, True]
+    assert not _fit_rigid_stack(src, tgt)[2][0]
+    assert_stack_matches_scalar_fits(src, tgt)
 
 
 def ulps_around(x, count):

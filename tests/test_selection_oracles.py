@@ -36,7 +36,7 @@ def st_loop_oracle(cset, params):
     np.fill_diagonal(matrix, 0.0)
     if not matrix.any():
         return (), None
-    vector, _, _ = _power_iterate(matrix, tol=1e-10, max_iter=10000)
+    vector, _, _ = _power_iterate(matrix)
     remaining = np.arange(len(cset))
     scores = {}
     while remaining.size:
