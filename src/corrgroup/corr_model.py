@@ -57,6 +57,15 @@ def _validate_rows(source_points, target_points, similarities, nn_distances,
         raise _ColumnError(*first)
 
 
+def _adopted_frame(axes: np.ndarray) -> LocalReferenceFrame:
+    """The frame on a row of a set's read-only frame column, which passed the
+    frame rule in :meth:`CorrespondenceSet.from_arrays`, without checking it
+    again."""
+    frame = object.__new__(LocalReferenceFrame)
+    object.__setattr__(frame, "axes", axes)
+    return frame
+
+
 @dataclass(frozen=True, eq=False)
 class Correspondence:
     """One correspondence as a record: a hypothesized match between a
@@ -180,8 +189,7 @@ class CorrespondenceSet:
     def items(self) -> tuple[Correspondence, ...]:
         """The rows as :class:`Correspondence` records, built on first use."""
         if self.has_lrfs:
-            lrfs = [(LocalReferenceFrame(s), LocalReferenceFrame(t))
-                    for s, t in zip(self.source_frames, self.target_frames)]
+            lrfs = [(_adopted_frame(s), _adopted_frame(t)) for s, t in zip(self.source_frames, self.target_frames)]
         else:
             lrfs = [(None, None)] * len(self)
         rows = zip(self.source_points, self.target_points, self.similarities,

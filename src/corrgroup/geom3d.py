@@ -108,11 +108,12 @@ _RIGID_FAULTS = ("vector components must be finite", "rotation entries must be f
 _FRAME_FAULTS = ("frame axes must be finite", "frame rows are not orthonormal", "frame must be right-handed")
 
 
-def _determinants(m: np.ndarray) -> np.ndarray:
-    """The (k,) determinants of a (k, 3, 3) stack: the cofactor expansion
-    along the first row, elementwise over the stack. It differs from an LU
-    determinant by a few ulps."""
-    (a, b, c), (d, e, f), (g, h, i) = m.transpose(1, 2, 0)
+def _determinants(planes: np.ndarray) -> np.ndarray:
+    """The (k,) determinants of a 3 x 3 stack given as (3, 3, k) planes,
+    ``planes[i, j]`` holding entry (i, j) of every matrix: the cofactor
+    expansion along the first row, elementwise over the stack. It differs
+    from an LU determinant by a few ulps."""
+    (a, b, c), (d, e, f), (g, h, i) = planes
     return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
 
 
@@ -121,14 +122,30 @@ def _rotation_faults(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     finite entries, M M^T = I and det +1 (1e-9), a non-finite row failing only the first;
     and the (k,) largest |entry| of M M^T - I, 0 on a non-finite row.
 
-    The determinant is :func:`_determinants`, so the verdict differs from an
-    LU determinant's only for a |det - 1| within about 1e-15 of 1e-9."""
-    finite = np.isfinite(m).all(axis=(1, 2))
-    m = np.where(finite[:, None, None], m, np.eye(3))
-    error = np.abs(m @ m.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
-    # Entries large enough to overflow here fail the Gram test; a NaN fails this one.
+    The stack is copied once to contiguous (3, 3, k) planes, one (k,) row
+    per entry, a non-finite matrix replaced by the identity, and only
+    elementwise arithmetic runs on them: no BLAS, so a matrix gets the same
+    verdicts and error bits alone as in any stack. Gram entry (i, j) is
+    (m_i0 m_j0 + m_i1 m_j1) + m_i2 m_j2, three products and two additions,
+    so within γ_3 Σ_l |m_il m_jl| of the exact one (u = EPS / 2,
+    γ_k = k u / (1 - k u)): about 1.5 EPS near a rotation, which the 4 EPS
+    the consensus screen adds to this error covers. The determinant is
+    :func:`_determinants`, so the verdict differs from an LU determinant's
+    only for a |det - 1| within about 1e-15 of 1e-9, and the Gram test from a
+    BLAS product's only for an error within an ulp of 1e-9."""
+    planes = m.transpose(1, 2, 0).copy()
+    finite = np.isfinite(planes.reshape(9, -1)).all(axis=0)
+    if not finite.all():
+        planes[:, :, ~finite] = np.eye(3)[:, :, None]
+    # Entries large enough to overflow here fail the Gram test; a NaN fails the determinant's.
     with np.errstate(over="ignore", invalid="ignore"):
-        det = _determinants(m)
+        gram = planes[:, None, 0] * planes[None, :, 0]
+        gram += planes[:, None, 1] * planes[None, :, 1]
+        gram += planes[:, None, 2] * planes[None, :, 2]
+        gram = gram.reshape(9, -1)
+        gram[::4] -= 1.0  # the diagonal
+        error = np.abs(gram, out=gram).max(axis=0)
+        det = _determinants(planes)
     return np.array([~finite, error > 1e-9, ~(np.abs(det - 1.0) <= 1e-9)]), error
 
 
@@ -278,7 +295,7 @@ def _kabsch_rotations(src_c: np.ndarray, tgt_c: np.ndarray) -> np.ndarray:
     u, _, vt = np.linalg.svd(src_c.transpose(0, 2, 1) @ tgt_c)
     v = vt.transpose(0, 2, 1)
     rot = v @ u.transpose(0, 2, 1)
-    flip = _determinants(rot) < 0
+    flip = _determinants(rot.transpose(1, 2, 0)) < 0
     if flip.any():
         v = v[flip]
         v[:, :, -1] *= -1.0
@@ -305,12 +322,15 @@ def _fit_rigid_stack(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
     :func:`_triangle_rotations` certifies, else by the SVD with the
     determinant correction (:func:`_kabsch_rotations`). Both are proper.
     """
-    src_mean = source.mean(axis=1)
-    tgt_mean = target.mean(axis=1)
     rot = np.empty((len(source), 3, 3))
     certified, fitted = np.zeros((2, len(source)), dtype=bool)
     if source.shape[1] == 3:
+        # mean(axis=1)'s bits, at a quarter of its cost on a stack: numpy adds
+        # a 3-long axis that is not the inner one in order, then divides by 3.
+        src_mean, tgt_mean = ((x[:, 0] + x[:, 1] + x[:, 2]) / 3 for x in (source, target))
         certified, fitted = _triangle_rotations(source, target, rot)
+    else:
+        src_mean, tgt_mean = source.mean(axis=1), target.mean(axis=1)
     rest = ~fitted
     if rest.any():
         # The third singular value is ~0 for any planar sample (e.g. every

@@ -42,6 +42,7 @@ from .geom3d import (
     PointCloud,
     RigidTransform,
     _check_rigid_stack,
+    _dot3,
     _fit_rigid_stack,
     _rotation_faults,
     estimate_rigid_transform,
@@ -486,27 +487,47 @@ def _screen_rows(screen: _Screen, rot: np.ndarray, tra: np.ndarray,
     2.1 K, so z is finite when 4 K is. A margin that is not finite and
     below ``limit`` becomes inf: then the screen decides none of the
     hypothesis's pairs.
+
+    Layout: the rows are built on coordinate-major planes, one contiguous
+    (k,) row per entry of the hypotheses' R (a (3, 3, k) copy) and per
+    coordinate of t', R^T t' and t, then written into the columns of the
+    (k, 17) output, which the block products take as it is. Each 3-term sum
+    runs as (x0 + x1) + x2: per coordinate, t' takes three products and four
+    additions (R c_s, then + t - c_t), R^T t' three products and two
+    additions on the rounded t', and |t'|^2 and |t|^2 three squares and two
+    additions. Those are the counts of the matrix and dot products the
+    bounds above were made for, which hold in any order; the factors 2 and
+    -2 are exact.
     """
     k = len(rot)
-    moved = rot @ screen.src_mean + tra - screen.tgt_mean
+    # r[i, j] is entry (i, j) of every rotation; t', R^T t' and t are (3, k).
+    r = rot.transpose(1, 2, 0).copy()
+    tra_t = tra.T
+    coef = np.empty((k, SCREEN_ROWS))
     with np.errstate(over="ignore", invalid="ignore"):
-        moved_sq = np.einsum("ij,ij->i", moved, moved)
-        reach = screen.spread + np.sqrt(moved_sq)
-        slack = 8 * EPS * (screen.offsets + np.sqrt(np.einsum("ij,ij->i", tra, tra))) + 16 * ETA
-        edge = screen.threshold + slack
-        margin = (32 * EPS * (reach * reach + screen.limit)
-                  + 3 * (gram_error + 4 * EPS) * screen.src_spread ** 2
-                  + 4 * slack * edge + 8 * EPS * edge * edge + 64 * ETA * (1 + reach) ** 2)
-        margin[~(4 * (reach * reach + screen.limit) < np.inf) | ~(margin < screen.limit)] = np.inf
-        del reach, slack, edge  # freed before the coefficients are allocated
-
-        coef = np.empty((k, SCREEN_ROWS))
-        np.matmul(moved[:, None, :], rot, out=coef[:, None, 0:3])
-        coef[:, 0:3] *= 2.0
-        np.multiply(moved, -2.0, out=coef[:, 3:6])
+        moved = r[:, 0] * screen.src_mean[0]
+        moved += r[:, 1] * screen.src_mean[1]
+        moved += r[:, 2] * screen.src_mean[2]
+        moved += tra_t
+        moved -= screen.tgt_mean[:, None]
+        turned = r[0] * moved[0]
+        turned += r[1] * moved[1]
+        turned += r[2] * moved[2]
+        np.multiply(turned, 2.0, out=coef[:, 0:3].T)
+        moved_sq = _dot3(moved, moved)
+        np.multiply(moved, -2.0, out=coef[:, 3:6].T)
         np.multiply(rot.reshape(k, 9), -2.0, out=coef[:, 6:15])
         coef[:, 15] = 1.0
         np.subtract(moved_sq, screen.limit, out=coef[:, 16])
+        del r, moved, turned  # freed before the margin allocates its own
+
+        reach = screen.spread + np.sqrt(moved_sq)
+        big = reach * reach + screen.limit  # K
+        slack = 8 * EPS * (screen.offsets + np.sqrt(_dot3(tra_t, tra_t))) + 16 * ETA
+        edge = screen.threshold + slack
+        margin = (32 * EPS * big + 3 * (gram_error + 4 * EPS) * screen.src_spread ** 2
+                  + 4 * slack * edge + 8 * EPS * edge * edge + 64 * ETA * (1 + reach) ** 2)
+        margin[~(4 * big < np.inf) | ~(margin < screen.limit)] = np.inf
     return coef, margin
 
 
@@ -522,24 +543,28 @@ def _consensus_counts(screen: _Screen, rot: np.ndarray, tra: np.ndarray, gram_er
     (:func:`_row_blocks`), whose (rows, 3, n) residuals are at most
     ``BLOCK_BYTES``, so a block's (rows, columns) screened values are at
     most a third of it. A block compares with the largest margin of its
-    rows, which holds for each of them. The recount starts once the table
-    is freed.
+    rows, which holds for each of them; the blocks' margins are taken once
+    per stack. A row's count in a block adds its mask's bytes in the
+    smallest unsigned type that holds the block's width (uint16 for the
+    1927 columns of a full block), so it is exact. The recount starts once
+    the table is freed.
     """
     n = len(src)
     coef, margin = _screen_rows(screen, rot, tra, gram_error)
     counts = np.zeros(len(rot), dtype=np.intp)
     recount = np.zeros(len(rot), dtype=bool)
+    bounds = np.maximum.reduceat(margin, [rows.start for rows in _row_blocks(len(rot), src.nbytes)])
     # A product that overflows gives inf or NaN, which the recount takes.
     with np.errstate(over="ignore", invalid="ignore"):
         for cols in _row_blocks(n, 2 * 8 * SCREEN_ROWS):
             table = _screen_table(screen, src[cols], tgt[cols])
-            for rows in _row_blocks(len(rot), src.nbytes):
-                bound = float(margin[rows].max())
+            width = np.min_scalar_type(table.shape[1])
+            for rows, bound in zip(_row_blocks(len(rot), src.nbytes), bounds):
                 screened = coef[rows] @ table
                 inside = screened < -bound
                 outside = screened > bound
                 del screened  # freed before the next block allocates its own
-                counts[rows] += inside.view(np.uint8).sum(axis=1, dtype=np.uint32)
+                counts[rows] += np.add.reduce(inside.view(np.uint8), axis=1, dtype=width)
                 # NaN is neither inside nor outside, and an infinite bound decides nothing.
                 if np.count_nonzero(inside) + np.count_nonzero(outside) < inside.size:
                     recount[rows] |= ~(inside | outside).all(axis=1)

@@ -14,6 +14,7 @@ from corrgroup import (
     CorrespondenceFormatError,
     CorrespondenceRecipe,
     CorrespondenceSet,
+    LocalReferenceFrame,
     SceneRecipe,
     generate_correspondences,
     generate_scene,
@@ -177,3 +178,33 @@ def test_producers_build_no_records(tmp_path, monkeypatch):
     stripped = strip_lrfs(loaded)
     assert stripped.ground_truth is cset.ground_truth
     assert not stripped.has_lrfs and len(stripped) == len(cset) == 8
+
+
+def test_records_adopt_the_checked_columns(monkeypatch):
+    cset = framed_golden_set()
+    # The frame columns passed the frame rule when the set was built; the
+    # records take their rows without checking them again.
+    monkeypatch.setattr(LocalReferenceFrame, "__post_init__", lambda self: pytest.fail("a frame was re-checked"))
+    records = cset.items
+    monkeypatch.undo()
+    assert len(records) == len(cset)
+    for i, record in enumerate(records):
+        assert record.source_point.tobytes() == cset.source_points[i].tobytes()
+        assert record.target_point.tobytes() == cset.target_points[i].tobytes()
+        assert (record.similarity, record.nn_distance, record.second_nn_distance) == (
+            cset.similarities[i], cset.nn_distances[i], cset.second_nn_distances[i])
+        for frame, column in ((record.source_lrf, cset.source_frames), (record.target_lrf, cset.target_frames)):
+            assert frame.axes.tobytes() == column[i].tobytes()
+            assert not frame.axes.flags.writeable
+    assert_same_columns(CorrespondenceSet(records, cset.source_resolution_pr), cset)
+
+
+def test_a_frame_that_fails_the_rule_enters_no_set_or_record():
+    cset = framed_golden_set()
+    frames = cset.source_frames.copy()
+    frames[2, 0, 0] += 1e-6
+    with pytest.raises(ValueError, match="^row 2: source frame rows are not orthonormal$"):
+        CorrespondenceSet.from_arrays(*(getattr(cset, name) for name in COLUMNS[:5]), cset.source_resolution_pr,
+                                      source_frames=frames, target_frames=cset.target_frames)
+    with pytest.raises(ValueError, match="^frame rows are not orthonormal$"):
+        LocalReferenceFrame(frames[2])

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrgroup import (
     AmbiguousFrameError,
@@ -11,6 +15,7 @@ from corrgroup import (
     estimate_lrf,
     estimate_rigid_transform,
 )
+from corrgroup.geom3d import _check_rigid_stack, _rotation_faults
 from corrgroup.synthbench import random_rotation
 
 
@@ -194,3 +199,84 @@ class TestEstimateLrf:
     def test_right_handed(self):
         frame = estimate_lrf(planar_ellipse_cloud(), [0.0, 0.0, 0.0], 2.0)
         assert np.linalg.det(frame.axes) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The proper-rotation rule's arithmetic
+# ---------------------------------------------------------------------------
+
+def rotation_rule_oracle(m):
+    """The proper-rotation rule on one 3 x 3 matrix in Python floats: the
+    verdicts (non-finite, M M^T = I, det +1, within 1e-9) and the largest
+    |entry| of M M^T - I. Each Gram entry is (m_i0 m_j0 + m_i1 m_j1) + m_i2 m_j2,
+    the determinant the cofactor expansion along the first row, and a
+    non-finite matrix fails the first check only, with error 0."""
+    rows = [[float(x) for x in row] for row in m]
+    if not all(math.isfinite(x) for row in rows for x in row):
+        return (True, False, False), 0.0
+    gaps = []
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            gram = (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+            gaps.append(abs(gram - 1.0 if i == j else gram))
+    error = math.nan if any(math.isnan(g) for g in gaps) else max(gaps)
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+    return (False, error > 1e-9, not abs(det - 1.0) <= 1e-9), error
+
+
+@st.composite
+def rule_matrices(draw):
+    """One 3 x 3 matrix: a rotation moved by about 1e-9 (either side of the
+    bound), a reflection, entries of any size (products that overflow), or a
+    rotation with a non-finite entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["near", "mirror", "wide", "non-finite"]))
+    m = random_rotation(rng)
+    if kind == "near":
+        m = m + 10.0 ** draw(st.floats(-10.5, -8.5)) * rng.uniform(-1.0, 1.0, (3, 3))
+    elif kind == "mirror":
+        m = -m
+    elif kind == "wide":
+        m = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-200.0, 200.0, (3, 3))
+    else:
+        m[draw(st.integers(0, 2)), draw(st.integers(0, 2))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return m
+
+
+def assert_rule_rows(stack):
+    """The rule's masks and errors on ``stack`` are the oracle's, row by row,
+    and each row gets them alone as in the stack."""
+    faults, error = _rotation_faults(stack)
+    for k, row in enumerate(stack):
+        verdicts, row_error = rotation_rule_oracle(row)
+        assert tuple(faults[:, k].tolist()) == verdicts
+        np.testing.assert_array_equal(error[k], row_error)  # bit for bit; NaN equals NaN
+        alone_faults, alone_error = _rotation_faults(stack[k:k + 1])
+        assert alone_faults[:, 0].tolist() == faults[:, k].tolist()
+        assert alone_error.tobytes() == error[k:k + 1].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rule_matrices(), min_size=1, max_size=6))
+def test_rotation_rule_is_fixed_order_arithmetic_on_each_row(matrices):
+    stack = np.array(matrices)
+    before = stack.copy()
+    assert_rule_rows(stack)
+    # The transposed views RigidTransform's check passes.
+    assert_rule_rows(stack.transpose(0, 2, 1))
+    np.testing.assert_array_equal(stack, before)  # a non-finite row is not overwritten
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rule_matrices(), min_size=1, max_size=6))
+def test_transform_check_hands_on_the_error_of_the_transposed_rule(matrices):
+    rot = np.array(matrices)
+    verdicts = [rotation_rule_oracle(r.T) for r in rot]
+    try:
+        error = _check_rigid_stack(rot, np.zeros((len(rot), 3)))
+    except ValueError:
+        assert any(any(v) for v, _ in verdicts)
+    else:
+        assert not any(any(v) for v, _ in verdicts)
+        np.testing.assert_array_equal(error, [e for _, e in verdicts])

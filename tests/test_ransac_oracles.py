@@ -34,12 +34,17 @@ from hypothesis import strategies as st
 
 from corrgroup import (
     AlgorithmParams,
+    CorrespondenceRecipe,
     CorrespondenceSet,
     RigidTransform,
+    SceneRecipe,
     estimate_rigid_transform,
+    generate_correspondences,
+    generate_scene,
     geom3d,
     group_ransac,
     grouping,
+    make_test_model,
 )
 from corrgroup.geom3d import DegenerateSampleError, _check_rigid_stack, _fit_rigid_stack
 
@@ -404,6 +409,21 @@ def test_stacked_fits_match_scalar_fits(seed, k, offset):
     src = rng.integers(-2, 3, size=(k, 3, 3)).astype(np.float64) + offset
     tgt = rng.integers(-2, 3, size=(k, 3, 3)).astype(np.float64) + offset
     assert_stack_matches_scalar_fits(src, tgt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), spread=st.floats(-320.0, 10.0),
+       offset=st.sampled_from([0.0, 1.0, 1e6, 1e15]))
+def test_three_point_means_keep_the_bits_of_mean(seed, k, spread, offset):
+    # Spreads from subnormal to 1e10, offsets up to 1e15 of the spread: the
+    # translations, t = mean(q) - R mean(p), are those of numpy's mean.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** spread
+    src, tgt = (rng.normal(size=(k, 3, 3)) * scale + rng.normal(size=(k, 1, 3)) * offset * scale
+                for _ in range(2))
+    rot, tra, fitted = _fit_rigid_stack(src, tgt)
+    expected = tgt[fitted].mean(axis=1) - (rot @ src[fitted].mean(axis=1)[..., None])[..., 0]
+    assert tra.tobytes() == expected.tobytes()
 
 
 def test_stack_check_raises_the_first_faulty_pair_first_fault():
@@ -870,3 +890,28 @@ def test_ransac_matches_loop_with_a_subnormal_limit(scale, seed):
     result = group_ransac(cset, params)
     assert len(result) > 0
     assert_same_result(result, ransac_loop_oracle(cset, params))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_counts_across_column_blocks_match_the_exact_consensus(rows):
+    # n > 1927 splits the table into two column blocks at the package's
+    # BLOCK_BYTES; 1-row and 7-row blocks (103 hypotheses leave an uneven
+    # last one) cut it into blocks of 185 and 1297 columns.
+    model = make_test_model("torus", 3000, seed=1)
+    scene, truth = generate_scene(model, SceneRecipe(rotation_seed=1, rng_seed=2))
+    cset = generate_correspondences(model, scene, truth, CorrespondenceRecipe(
+        n_total=2100, inlier_ratio=0.3, rng_seed=3))
+    src, tgt = cset.source_points, cset.target_points
+    threshold = 5 * cset.source_resolution_pr
+    limit = grouping._squared_limit(threshold)
+    samples = grouping._draw_samples(np.random.default_rng(0), len(cset), 102)
+    rot, tra, _ = _fit_rigid_stack(src[samples], tgt[samples])
+    rot = np.concatenate([truth.rotation[None], rot])
+    tra = np.concatenate([truth.translation[None], tra])
+    screen = grouping._consensus_screen(src, tgt, threshold, limit)
+    budget = grouping.BLOCK_BYTES if rows is None else src.nbytes * rows
+    with mock.patch.object(grouping, "BLOCK_BYTES", budget):
+        counts = grouping._consensus_counts(screen, rot, tra, _check_rigid_stack(rot, tra), src, tgt)
+    expected = np.count_nonzero(grouping._exact_consensus(rot, tra, src, tgt, limit), axis=1)
+    assert counts.tolist() == expected.tolist()
+    assert counts[0] > 255  # more than a uint8 holds

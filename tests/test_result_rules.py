@@ -9,11 +9,16 @@ message, ``unique`` before ``sorted``.
 
 One mask kernel holds the proper-rotation rule (finite entries, orthonormal
 rows, det +1, within 1e-9) for transforms and frames. ``rigid_stack_oracle``
-and ``frame_faults_oracle`` are its two former copies, kept verbatim. Frame
-masks must match bit for bit. The transform rule now runs the kernel on
-R^T, whose Gram product is still R^T R but whose determinant LAPACK may round
-differently in the last place, so a stack with a determinant within a few
-ulps of the 1e-9 bound is not compared.
+and ``frame_faults_oracle`` are its two former copies, kept verbatim. They
+take the Gram product from BLAS and the determinant from LAPACK's LU; the
+kernel sums each Gram entry in a fixed order and expands the determinant by
+cofactors, elementwise, so its error and determinant may differ from theirs
+in the last place. Frame masks therefore match the copies bit for bit
+except for an error within an ulp of 1e-9 or a |det - 1| within a few ulps
+of it, which the drawn stacks do not reach (``tests/test_geom3d.py`` holds
+the kernel's own bits to a Python-float oracle). The transform rule runs the
+kernel on R^T, so a stack with a determinant within a few ulps of the bound
+is not compared, and the errors are compared within 8 eps.
 """
 
 import re
