@@ -57,13 +57,13 @@ def _validate_rows(source_points, target_points, similarities, nn_distances,
         raise _ColumnError(*first)
 
 
-def _adopted_frame(axes: np.ndarray) -> LocalReferenceFrame:
-    """The frame on a row of a set's read-only frame column, which passed the
-    frame rule in :meth:`CorrespondenceSet.from_arrays`, without checking it
-    again."""
-    frame = object.__new__(LocalReferenceFrame)
-    object.__setattr__(frame, "axes", axes)
-    return frame
+def _adopted(cls, **values):
+    """A record of the frozen dataclass ``cls`` on values from rows of a
+    set's read-only columns, which passed the record's rules in
+    :meth:`CorrespondenceSet.from_arrays`, without checking them again."""
+    record = object.__new__(cls)
+    record.__dict__.update(values)
+    return record
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,14 +187,18 @@ class CorrespondenceSet:
 
     @cached_property
     def items(self) -> tuple[Correspondence, ...]:
-        """The rows as :class:`Correspondence` records, built on first use."""
+        """The rows as :class:`Correspondence` records, built on first use
+        from the checked columns: points and frames are row views of them."""
         if self.has_lrfs:
-            lrfs = [(_adopted_frame(s), _adopted_frame(t)) for s, t in zip(self.source_frames, self.target_frames)]
+            lrfs = [(_adopted(LocalReferenceFrame, axes=s), _adopted(LocalReferenceFrame, axes=t))
+                    for s, t in zip(self.source_frames, self.target_frames)]
         else:
             lrfs = [(None, None)] * len(self)
-        rows = zip(self.source_points, self.target_points, self.similarities,
-                   self.nn_distances, self.second_nn_distances, lrfs)
-        return tuple(Correspondence(s, t, sim, nn, d2, *pair) for s, t, sim, nn, d2, pair in rows)
+        rows = zip(self.source_points, self.target_points, self.similarities.tolist(),
+                   self.nn_distances.tolist(), self.second_nn_distances.tolist(), lrfs)
+        return tuple(_adopted(Correspondence, source_point=s, target_point=t, similarity=sim, nn_distance=nn,
+                              second_nn_distance=d2, source_lrf=s_lrf, target_lrf=t_lrf)
+                     for s, t, sim, nn, d2, (s_lrf, t_lrf) in rows)
 
     def with_ground_truth(self, transform: RigidTransform | None) -> "CorrespondenceSet":
         return self._replace(ground_truth=transform)
@@ -223,18 +227,18 @@ def distance_compatibility(c1: Correspondence, c2: Correspondence, t_gc: float) 
     return residual, residual < t_gc
 
 
-def pairwise_lengths(source_points: np.ndarray, target_points: np.ndarray,
-                     rows: slice = slice(None), cols: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """(d_s, d_t): source- and target-side segment lengths from the
-    correspondences in ``rows`` to those in ``cols``, the one length
-    computation behind the pairwise constraints of st, gc and si.
+def pairwise_lengths(points: np.ndarray, rows: slice = slice(None),
+                     cols: slice | np.ndarray = slice(None)) -> np.ndarray:
+    """Segment lengths from the points in ``rows`` to those in ``cols``, a
+    slice or an index array: the one length computation behind the pairwise
+    constraints of st, gc and si, called once per side of a correspondence.
 
     cdist computes each pair on its own, and u - v is exactly -(v - u), so
-    any (rows, cols) block has the bits of those entries of the full n x n
-    matrices, and the full matrices are bitwise symmetric.
+    any (rows, cols) block, of gathered columns too, has the bits of those
+    entries of the full n x n matrix, and the full matrix is bitwise
+    symmetric.
     """
-    return (cdist(source_points[rows], source_points[cols]),
-            cdist(target_points[rows], target_points[cols]))
+    return cdist(points[rows], points[cols])
 
 
 def _rigidity_from_lengths(d_s: np.ndarray, d_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -264,12 +268,12 @@ def _residuals_from_lengths(d_s: np.ndarray, d_t: np.ndarray) -> np.ndarray:
 
 def pairwise_rigidity(source_points: np.ndarray, target_points: np.ndarray) -> np.ndarray:
     """Matrix of rigidity scores for all correspondence pairs."""
-    return _rigidity_from_lengths(*pairwise_lengths(source_points, target_points))
+    return _rigidity_from_lengths(pairwise_lengths(source_points), pairwise_lengths(target_points))
 
 
 def pairwise_distance_residuals(source_points: np.ndarray, target_points: np.ndarray) -> np.ndarray:
     """Matrix of |d_s - d_t| residuals for all correspondence pairs."""
-    return _residuals_from_lengths(*pairwise_lengths(source_points, target_points))
+    return _residuals_from_lengths(pairwise_lengths(source_points), pairwise_lengths(target_points))
 
 
 # ---------------------------------------------------------------------------

@@ -686,8 +686,9 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     tgt = cset.target_points
     matrix = np.empty((n, n))
     for rows in _row_blocks(n, 8 * n):
-        block = _rigidity_from_lengths(*pairwise_lengths(src, tgt, rows, slice(rows.start, None)),
-                                       out=matrix[rows, rows.start:])
+        upper = slice(rows.start, None)
+        block = _rigidity_from_lengths(pairwise_lengths(src, rows, upper),
+                                       pairwise_lengths(tgt, rows, upper), out=matrix[rows, rows.start:])
         block *= block >= params.t_st
         matrix[rows.stop:, rows] = block[:, rows.stop - rows.start:].T
     np.fill_diagonal(matrix, 0.0)
@@ -740,12 +741,15 @@ def group_gc(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     # The diagonal residual is 0, so every seed counts itself.
     sizes = np.zeros(n, dtype=np.int64)
     for rows in _row_blocks(n, 8 * n):
-        residuals = _residuals_from_lengths(*pairwise_lengths(src, tgt, rows, slice(rows.start, None)))
+        upper = slice(rows.start, None)
+        residuals = _residuals_from_lengths(pairwise_lengths(src, rows, upper),
+                                            pairwise_lengths(tgt, rows, upper))
         compatible = (residuals < threshold).view(np.uint8)
         sizes[rows] += compatible.sum(axis=1, dtype=np.uint32)
         sizes[rows.stop:] += compatible[:, rows.stop - rows.start:].sum(axis=0, dtype=np.uint32)
     seed = int(np.argmax(sizes))  # the first maximum
-    residuals = _residuals_from_lengths(*pairwise_lengths(src, tgt, slice(seed, seed + 1)))
+    row = slice(seed, seed + 1)
+    residuals = _residuals_from_lengths(pairwise_lengths(src, row), pairwise_lengths(tgt, row))
     return GroupingResult(np.flatnonzero(residuals[0] < threshold))
 
 
@@ -856,6 +860,22 @@ def _si_screened_vote(table: np.ndarray, coef: np.ndarray, margin: np.ndarray, m
     return inside
 
 
+def _kth_smallest(lengths: np.ndarray, kappa: int) -> np.ndarray:
+    """The (rows, 1) column of each row's kappa-th smallest entry, selected
+    on the entries' bit patterns read as int64.
+
+    Every entry is a cdist length or the +inf si puts on the diagonal. The
+    points are finite, :func:`_check_span` rules out overflow, and a
+    length is the square root of a sum of squares, so it is +0.0 or
+    positive and finite: never -0.0 or NaN. On non-negative doubles the
+    int64 order of the bit patterns is the order of the values, and equal
+    values have equal bits, so the selection is exact without the float
+    path's NaN handling.
+    """
+    kth = np.partition(lengths.view(np.int64), kappa - 1, axis=1)[:, [kappa - 1]]
+    return kth.view(np.float64)
+
+
 def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult:
     """Local plus global voting with an adaptive cutoff on the vote score.
 
@@ -877,8 +897,10 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     to the cutoff works on one candidate's row alone, so the blocks keep the
     bits of the whole matrices. A row reads rigidity only at the ratio-test
     survivors and the global voters, the same columns for every row, so a
-    block computes it on those columns alone, gathered from its whole rows
-    of lengths (which the kappa-nearest selection needs). The global vote is
+    block computes it on those columns alone: its target lengths on them
+    (:func:`pairwise_lengths` takes the column indices), its source lengths
+    gathered from whole rows, which the kappa-nearest selection
+    (:func:`_kth_smallest`) needs. The global vote is
     read off RANSAC's consensus screen (:func:`_si_screened_vote`): every
     candidate's screen row is built once per call, then one (rows, 17) by
     (17, kappa) product per block, with each row whose proven
@@ -921,8 +943,8 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
     local_votes = np.empty(n, dtype=np.int64)
     vote_mask = np.empty((n, kappa), dtype=bool)
     for rows in _row_blocks(n, 8 * n):
-        source_dist, target_dist = pairwise_lengths(src, tgt, rows)
-        target_dist = np.take(target_dist, read, axis=1)
+        source_dist = pairwise_lengths(src, rows)
+        target_dist = pairwise_lengths(tgt, rows, read)
 
         # kappa nearest neighbours per row by source-point distance (self
         # excluded): every distance up to the kappa-th smallest. When a row of
@@ -931,7 +953,7 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
         # are taken, which is the same set on every row without a surplus.
         diagonal = np.arange(len(source_dist))
         source_dist[diagonal, diagonal + rows.start] = np.inf
-        kth = np.partition(source_dist, kappa - 1, axis=1)[:, [kappa - 1]]
+        kth = _kth_smallest(source_dist, kappa)
         near = source_dist <= kth
         if (near.view(np.uint8).sum(axis=1, dtype=np.uint32) > kappa).any():
             near = source_dist < kth

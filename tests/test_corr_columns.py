@@ -16,6 +16,7 @@ from corrgroup import (
     CorrespondenceSet,
     LocalReferenceFrame,
     SceneRecipe,
+    corr_model,
     generate_correspondences,
     generate_scene,
     load_correspondences,
@@ -196,6 +197,24 @@ def test_records_adopt_the_checked_columns(monkeypatch):
         for frame, column in ((record.source_lrf, cset.source_frames), (record.target_lrf, cset.target_frames)):
             assert frame.axes.tobytes() == column[i].tobytes()
             assert not frame.axes.flags.writeable
+    assert_same_columns(CorrespondenceSet(records, cset.source_resolution_pr), cset)
+
+
+@pytest.mark.parametrize("framed", [True, False], ids=["frames", "no-frames"])
+def test_records_run_no_row_check(monkeypatch, framed):
+    # Every row passed the set's checks when it was built; the records are
+    # made on the checked columns without a row check of their own.
+    cset = framed_golden_set() if framed else strip_lrfs(framed_golden_set())
+    monkeypatch.setattr(corr_model, "_validate_rows", lambda *args: pytest.fail("a row was re-checked"))
+    monkeypatch.setattr(Correspondence, "__post_init__", lambda self: pytest.fail("a record was re-checked"))
+    records = cset.items
+    monkeypatch.undo()
+    assert len(records) == len(cset) == 8
+    for i, record in enumerate(records):
+        assert not record.source_point.flags.writeable and not record.target_point.flags.writeable
+        assert record.source_point.tobytes() == cset.source_points[i].tobytes()
+        assert {type(record.similarity), type(record.nn_distance), type(record.second_nn_distance)} == {float}
+        assert (record.source_lrf is None) == (record.target_lrf is None) == (not framed)
     assert_same_columns(CorrespondenceSet(records, cset.source_resolution_pr), cset)
 
 

@@ -99,7 +99,7 @@ def two_division_rigidity(d_s, d_t):
 @example(  # both keypoints duplicated: d_s = d_t = 0, a 0/0 the one division must zero
     pair=(np.array([[1.0, 2, 3], [1.0, 2, 3]]), np.array([[4.0, 5, 6], [4.0, 5, 6]])), scale=1.0)
 def test_one_division_rigidity_matches_two_division_bits(pair, scale):
-    d_s, d_t = pairwise_lengths(pair[0] * scale, pair[1] * scale)
+    d_s, d_t = pairwise_lengths(pair[0] * scale), pairwise_lengths(pair[1] * scale)
     assert _rigidity_from_lengths(d_s, d_t).tobytes() == two_division_rigidity(d_s, d_t).tobytes()
 
 

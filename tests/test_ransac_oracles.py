@@ -915,3 +915,42 @@ def test_counts_across_column_blocks_match_the_exact_consensus(rows):
     expected = np.count_nonzero(grouping._exact_consensus(rot, tra, src, tgt, limit), axis=1)
     assert counts.tolist() == expected.tolist()
     assert counts[0] > 255  # more than a uint8 holds
+
+
+def test_a_block_compares_with_the_largest_margin_of_its_rows():
+    # One block of seven hypotheses: six exact turns, whose margins are
+    # about 4e-4, and a stretch diag(1 + 2e-10, 1, 1 - 2e-10), within the
+    # 1e-9 rotation rule, whose Gram error makes its margin about 14. The
+    # screen takes |p'|^2 for |R p'|^2, which for the stretch is 2e-10 x'^2
+    # too small, up to 4 at the set's x' of 1e5. Each target is the
+    # stretched source moved 0.5 to 2 past the squared limit: the screen
+    # puts the stretch's pairs inside by more than the turns' margins, so
+    # only the block's largest margin leaves them to the recount. The
+    # largest |t'| cannot do this: a pair near the limit has |t'| at most
+    # P + Q + threshold, so the margins it gives differ by a factor of 4 or
+    # less, and the screen's rounding stays well inside the smallest.
+    rng = np.random.default_rng(0)
+    n, threshold = 200, 5.0
+    limit = grouping._squared_limit(threshold)
+    src = np.zeros((n, 3))
+    src[:, 0] = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5e5, 1e5, n)
+    src[:, 1:] = rng.uniform(-10.0, 10.0, (n, 2))
+    stretch = np.diag([1.0 + 2e-10, 1.0, 1.0 - 2e-10])
+    tgt = src @ stretch.T
+    tgt[:, 1] -= np.sqrt(limit + rng.uniform(0.5, 2.0, n))
+    turns = QUARTER_TURNS[:3]
+    rot = np.concatenate([turns, stretch[None], turns])
+    tra = np.zeros((len(rot), 3))
+    tra[4:] = rng.normal(size=(3, 3))
+    assert len(list(grouping._row_blocks(len(rot), src.nbytes))) == 1
+    error = _check_rigid_stack(rot, tra)
+    screen = grouping._consensus_screen(src, tgt, threshold, limit)
+    coef, margin = grouping._screen_rows(screen, rot, tra, error)
+    screened = coef @ grouping._screen_table(screen, src, tgt)
+    exact = grouping._exact_consensus(rot, tra, src, tgt, limit)
+    smaller = np.delete(margin, 3).max()
+    assert margin[3] > 1e4 * smaller
+    # Pairs the smallest margins would decide, and decide wrongly.
+    assert np.count_nonzero((screened[3] < -smaller) & ~exact[3]) > n // 2
+    counts = grouping._consensus_counts(screen, rot, tra, error, src, tgt)
+    assert counts.tolist() == np.count_nonzero(exact, axis=1).tolist()

@@ -75,10 +75,9 @@ def test_length_blocks_are_the_rows_of_the_whole_matrices(points, row_bytes):
     assert [i for part in slices for i in range(n)[part]] == list(range(n))
     assert [part.stop - part.start for part in slices[:-1]] == [step] * (len(slices) - 1)
     assert 1 <= slices[-1].stop - slices[-1].start <= step
-    d_s, d_t = pairwise_lengths(src, tgt)
-    blocks = [pairwise_lengths(src, tgt, part) for part in slices]
-    assert np.vstack([b[0] for b in blocks]).tobytes() == d_s.tobytes()
-    assert np.vstack([b[1] for b in blocks]).tobytes() == d_t.tobytes()
+    for points in (src, tgt):
+        whole = pairwise_lengths(points)
+        assert np.vstack([pairwise_lengths(points, part) for part in slices]).tobytes() == whole.tobytes()
 
 
 @st.composite
@@ -101,19 +100,28 @@ def spans(draw, n):
     return slice(lo, draw(st.integers(lo, n)))
 
 
+def index_arrays(n):
+    """An int64 array of indices into range(n), in any order, possibly empty."""
+    return st.lists(st.integers(0, n - 1), max_size=2 * n).map(lambda cols: np.array(cols, dtype=np.int64))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), points=length_inputs())
 def test_length_blocks_are_any_entries_of_symmetric_matrices(data, points):
     # st and gc compute only the upper triangle in (rows, columns) blocks and
-    # mirror it, which keeps the bits only if both properties hold exactly.
-    src, tgt = points
-    n = len(src)
-    rows, cols = data.draw(spans(n)), data.draw(spans(n))
-    whole = pairwise_lengths(src, tgt)
-    for block, full in zip(pairwise_lengths(src, tgt, rows, cols), whole):
-        assert block.shape == full[rows, cols].shape
-        assert block.tobytes() == full[rows, cols].tobytes()
+    # mirror it, and si takes its target lengths on gathered columns, which
+    # keeps the bits only if these properties hold exactly. si's kappa-th
+    # nearest on bit patterns needs every length non-negative: never -0.0.
+    n = len(points[0])
+    rows = data.draw(spans(n))
+    cols = data.draw(st.one_of(spans(n), index_arrays(n)))
+    for side in points:
+        full = pairwise_lengths(side)
+        block = pairwise_lengths(side, rows, cols)
+        assert block.shape == full[rows][:, cols].shape
+        assert block.tobytes() == full[rows][:, cols].tobytes()
         assert full.tobytes() == full.T.tobytes()
+        assert not np.signbit(full).any()
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,7 +225,7 @@ def test_si_blocks_match_full_sort(cset, kappa, t_nnsr, rows):
 def test_si_examples_hold_the_ties_they_name(cset, surplus):
     # si breaks ties at the kappa-th distance only where a row holds more than
     # kappa distances at or below it; these sets take that path or never do.
-    source_dist, _ = pairwise_lengths(cset.source_points, cset.target_points)
+    source_dist = pairwise_lengths(cset.source_points)
     np.fill_diagonal(source_dist, np.inf)
     nearest = source_dist.min(axis=1, keepdims=True)  # the kappa-th distance at kappa = 1
     counts = (source_dist <= nearest).sum(axis=1)
@@ -306,46 +314,76 @@ def test_cli_reports_st_matrix_limit(tmp_path, capsys):
 # The one length hook
 # ---------------------------------------------------------------------------
 
+def si_read_columns(cset, params):
+    """The columns si reads: its kappa global voters, then the other ratio-test survivors."""
+    lowe, passed = grouping._ratio_test(cset, params.t_nnsr)
+    voters = np.argsort(-lowe, kind="stable")[:min(params.si_kappa, len(cset) - 1)]
+    return np.concatenate([voters, np.setdiff1d(np.flatnonzero(passed), voters)])
+
+
+def calls_per_side(hook, cset):
+    """The hook's calls on the source points, then those on the target points."""
+    calls = hook.call_args_list
+    sides = [[call for call in calls if call.args[0] is points] for points in (cset.source_points, cset.target_points)]
+    assert sum(map(len, sides)) == len(calls)
+    return sides
+
+
 @pytest.mark.parametrize("algorithm", [group_st, group_gc, group_si], ids=["st", "gc", "si"])
 def test_every_length_call_goes_through_one_hook(algorithm):
     # ``grouping.pairwise_lengths`` is the one name a tracer of the pairwise
-    # stages wraps: every cdist of the call comes through it, two per call,
-    # in blocks of the package's size (gc then takes its seed's row).
+    # stages wraps: every cdist of the call comes through it, one per call,
+    # on each side in blocks of the package's size (gc then takes its seed's
+    # row), and si takes its target side on the columns it reads.
     n = 1000
+    cset, params = random_set(n), AlgorithmParams()
     step = max(1, grouping.BLOCK_BYTES // (8 * n))
     hook = mock.Mock(wraps=grouping.pairwise_lengths)
     with mock.patch.object(grouping, "pairwise_lengths", hook), \
             mock.patch.object(corr_model, "cdist", wraps=corr_model.cdist) as cdist:
-        result = algorithm(random_set(n), AlgorithmParams())
-    rows = [call.args[2] for call in hook.call_args_list]
+        result = algorithm(cset, params)
+    assert cdist.call_count == hook.call_count
     blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    if algorithm is group_gc:
-        seed = rows.pop()
-        assert seed.stop == seed.start + 1 and seed.start in result.inlier_indices
-    assert rows == blocks
-    assert cdist.call_count == 2 * hook.call_count
+    source_calls, target_calls = calls_per_side(hook, cset)
+    for calls in (source_calls, target_calls):
+        rows = [call.args[1] for call in calls]
+        if algorithm is group_gc:
+            seed = rows.pop()
+            assert seed.stop == seed.start + 1 and seed.start in result.inlier_indices
+        assert rows == blocks
+    if algorithm is group_si:
+        read = si_read_columns(cset, params)
+        assert 0 < len(read) < n
+        assert all(len(call.args) == 2 for call in source_calls)
+        assert all(np.array_equal(call.args[2], read) for call in target_calls)
 
 
 def length_cells(call, n):
     """Pairs of one ``pairwise_lengths`` call: its rows times its columns."""
     bound = inspect.signature(corr_model.pairwise_lengths).bind(*call.args, **call.kwargs)
     bound.apply_defaults()
-    return len(range(n)[bound.arguments["rows"]]) * len(range(n)[bound.arguments["cols"]])
+    cols = bound.arguments["cols"]
+    return len(range(n)[bound.arguments["rows"]]) * len(range(n)[cols] if isinstance(cols, slice) else cols)
 
 
 @pytest.mark.parametrize("algorithm", [group_st, group_gc, group_si], ids=["st", "gc", "si"])
 def test_st_and_gc_compute_each_pair_once(algorithm):
-    # st and gc take each block's rows from its diagonal on, at most
-    # n (n + step) / 2 pairs in all, plus gc's seed row; si needs whole rows.
+    # On each side st and gc take each block's rows from its diagonal on, at
+    # most n (n + step) / 2 pairs in all, plus gc's seed row; si needs whole
+    # rows of source lengths and only the columns it reads of target ones.
     n = 1000
+    cset, params = random_set(n), AlgorithmParams()
     step = max(1, grouping.BLOCK_BYTES // (8 * n))
     hook = mock.Mock(wraps=grouping.pairwise_lengths)
     with mock.patch.object(grouping, "pairwise_lengths", hook):
-        algorithm(random_set(n), AlgorithmParams())
-    cells = [length_cells(call, n) for call in hook.call_args_list]
-    if algorithm is group_gc:
-        assert cells.pop() == n  # the winning seed's row
+        algorithm(cset, params)
+    source_cells, target_cells = ([length_cells(call, n) for call in calls]
+                                  for calls in calls_per_side(hook, cset))
     if algorithm is group_si:
-        assert sum(cells) == n * n
-    else:
+        assert sum(source_cells) == n * n
+        assert sum(target_cells) == n * len(si_read_columns(cset, params))
+        return
+    for cells in (source_cells, target_cells):
+        if algorithm is group_gc:
+            assert cells.pop() == n  # the winning seed's row
         assert sum(cells) <= n * (n + step) // 2

@@ -8,13 +8,16 @@ is si with its neighbours from a stable full-row ``argsort``. Both must agree
 with the package bit for bit on integer-grid keypoints, which produce
 duplicate keypoints and exact distance ties. si's global vote, computed by
 the package in row blocks, is also checked on float keypoints and rotated
-frames against the oracle's one einsum over all rows.
+frames against the oracle's one einsum over all rows. si's kappa-th
+smallest length, selected on the lengths' bit patterns, must be numpy's
+float selection bit for bit on every kind of non-negative double.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrgroup import AlgorithmParams, CorrespondenceSet, group_si, group_st, grouping, otsu_threshold
@@ -63,7 +66,7 @@ def si_argsort_oracle(cset, params):
     ratio_pass = (cset.second_nn_distances > 0.0) & (lowe >= params.t_nnsr)
     src = cset.source_points
     tgt = cset.target_points
-    source_dist, target_dist = pairwise_lengths(src, tgt)
+    source_dist, target_dist = pairwise_lengths(src), pairwise_lengths(tgt)
     rigidity = _rigidity_from_lengths(source_dist, target_dist)
 
     np.fill_diagonal(source_dist, np.inf)
@@ -158,8 +161,41 @@ def test_si_row_blocks_match_one_einsum(seed, n, inlier_share, kappa, rows, si_d
     with mock.patch.object(grouping, "BLOCK_BYTES", 8 * n * rows), \
             mock.patch.object(grouping, "pairwise_lengths", hook):
         result = group_si(cset, params)
-    sizes = [call.args[2].stop - call.args[2].start for call in hook.call_args_list]
+    # One call per side and block: pairwise_lengths(points, rows[, cols]).
+    blocks = [call.args[1] for call in hook.call_args_list]
+    assert blocks[::2] == blocks[1::2]
+    sizes = [block.stop - block.start for block in blocks[::2]]
     assert sizes == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
     indices, scores = si_argsort_oracle(cset, params)
     assert result.inlier_indices == indices
     assert [f"{result.scores[i]:.17g}" for i in indices] == [f"{scores[i]:.17g}" for i in indices]
+
+
+# Non-negative doubles: zero, the smallest and largest subnormals, the
+# smallest normal, values near 1, the largest double and +inf. Drawn from a
+# pool this small, the entries of a row often tie.
+EDGE_LENGTHS = [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.0, math.nextafter(1.0, 2.0),
+                1.7976931348623157e308, math.inf]
+
+
+@st.composite
+def length_rows(draw):
+    """(lengths, kappa): a (1-4, 1-12) array of non-negative doubles and a
+    kappa from 1 to its width."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    values = st.one_of(st.sampled_from(EDGE_LENGTHS), st.floats(min_value=0.0, allow_nan=False))
+    lengths = np.array(draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)))
+    return lengths.reshape(rows, cols), draw(st.integers(1, cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=length_rows())
+@example(case=(np.array([[2.0, 0.0, 2.0, np.inf], [5e-324, 0.0, 0.0, 5e-324]]), 2))  # ties at the kappa-th
+def test_kth_smallest_on_bit_patterns_is_the_float_selection(case):
+    lengths, kappa = case
+    assert not np.signbit(lengths).any()
+    before = lengths.tobytes()
+    kth = grouping._kth_smallest(lengths, kappa)
+    assert lengths.tobytes() == before
+    assert kth.dtype == np.float64 and kth.shape == (len(lengths), 1)
+    assert kth.tobytes() == np.partition(lengths, kappa - 1, axis=1)[:, [kappa - 1]].tobytes()

@@ -6,8 +6,9 @@ on the columns a row reads and read the global vote off the consensus
 screen. The package must give the same indices and bit-equal scores on
 every kind of set below: generated sets; ``test_row_blocks.random_set``,
 where every row passes the ratio test; constant scores; two to five
-correspondences with kappa >= n - 1; duplicated rows; sets 1e6 from the
-origin; frames near the 1e-9 frame rule; and blocks of 1-3 rows.
+correspondences with kappa >= n - 1; duplicated rows; keypoints on a unit
+grid, with zero lengths and ties at the kappa-th distance; sets 1e6 from
+the origin; frames near the 1e-9 frame rule; and blocks of 1-3 rows.
 """
 
 from functools import lru_cache
@@ -66,7 +67,7 @@ def si_reference(cset, params):
     local_votes = np.empty(n, dtype=np.int64)
     vote_mask = np.empty((n, kappa), dtype=bool)
     for rows in _row_blocks(n, 8 * n):
-        source_dist, target_dist = pairwise_lengths(src, tgt, rows)
+        source_dist, target_dist = pairwise_lengths(src, rows), pairwise_lengths(tgt, rows)
         rigid = _rigidity_from_lengths(source_dist, target_dist) > params.si_sigma
 
         diagonal = np.arange(len(source_dist))
@@ -140,10 +141,30 @@ def consistent_set(seed, n):
 QUARTER_TURN_Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
+def tied_set(seed, n, kappa):
+    """Keypoints on the 2 x 2 x 2 unit grid, so every length is 0, 1, √2 or
+    √3, and the first kappa + 2 source keypoints one point: its rows hold
+    kappa + 1 zero lengths, more than kappa at the kappa-th distance. A
+    drawn prefix follows one quarter turn exactly, frames included."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, 2, size=(n, 3)).astype(np.float64)
+    src[:kappa + 2] = src[0]
+    tgt = rng.integers(0, 2, size=(n, 3)).astype(np.float64)
+    frames = np.array([random_rotation(rng) for _ in range(2 * n)])
+    source_frames, target_frames = frames[:n], frames[n:]
+    consistent = rng.integers(0, n + 1)
+    tgt[:consistent] = src[:consistent] @ QUARTER_TURN_Z.T + 5.0
+    target_frames[:consistent] = source_frames[:consistent] @ QUARTER_TURN_Z.T
+    nn = rng.integers(0, 5, size=n) / 4.0
+    return CorrespondenceSet.from_arrays(src, tgt, rng.integers(0, 5, size=n) / 4.0, nn,
+                                         nn + rng.integers(0, 5, size=n) / 4.0, 1.0,
+                                         source_frames=source_frames, target_frames=target_frames)
+
+
 @st.composite
 def si_cases(draw):
     """(set, params): one kind of set from the module docstring."""
-    kind = draw(st.sampled_from(["generated", "random_set", "constant", "tiny", "duplicated", "offset",
+    kind = draw(st.sampled_from(["generated", "random_set", "constant", "tiny", "duplicated", "tied", "offset",
                                  "near_bound", "float"]))
     seed = draw(st.integers(0, 2**31))
     kappa = draw(st.sampled_from([1, 2, 7, 250]))
@@ -156,6 +177,9 @@ def si_cases(draw):
         params["t_nnsr"] = min(params["t_nnsr"], 0.5)  # every row passes
     elif kind == "constant":
         cset = consistent_set(seed, draw(st.integers(2, 40)))
+    elif kind == "tied":
+        params["si_kappa"] = draw(st.sampled_from([1, 2, 7]))
+        cset = tied_set(seed, draw(st.integers(10, 40)), params["si_kappa"])
     elif kind == "tiny":
         n = draw(st.integers(2, 5))
         cset = float_set(seed, n, 0.7)
