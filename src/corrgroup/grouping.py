@@ -129,37 +129,6 @@ class OtsuResult(NamedTuple):
     degenerate: bool
 
 
-def _otsu_edge(ordered: np.ndarray, lo: float, hi: float, exponent: int) -> float | None:
-    """The interior edge of maximal inter-class variance over the sorted
-    values, from ``lo`` to ``hi``, or None when a class sum or a variance
-    overflows float64.
-
-    With a nonzero ``exponent`` the edges and class sums are taken on the
-    values times 2**-exponent and the edges scaled back, which is exact;
-    class membership is decided on the values themselves.
-    """
-    if exponent:
-        scaled = np.ldexp(ordered, -exponent)
-        edges = np.ldexp(np.linspace(math.ldexp(lo, -exponent), math.ldexp(hi, -exponent), 257), exponent)
-    else:
-        scaled, edges = ordered, np.linspace(lo, hi, 257)
-    # c0[t] = #values strictly below edges[t+1], matching bin membership.
-    c0 = np.searchsorted(ordered, edges[1:256], side="left")
-    c1 = ordered.size - c0
-    valid = (c0 > 0) & (c1 > 0)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        prefix = np.concatenate(([0.0], np.cumsum(scaled)))
-        s0 = prefix[c0]
-        s1 = prefix[-1] - s0
-        mean_diff = s0 / c0 - s1 / c1
-        variance = np.where(valid, c0 * c1 * mean_diff * mean_diff, -np.inf)
-    best = int(np.argmax(variance))
-    # An overflowed sum makes every valid variance inf or NaN; argmax finds either.
-    if not variance[best] < math.inf:
-        return None
-    return float(edges[1 + best])
-
-
 def otsu_threshold(values) -> OtsuResult:
     """Histogram threshold maximizing the inter-class variance.
 
@@ -168,10 +137,13 @@ def otsu_threshold(values) -> OtsuResult:
     side of a candidate edge, and ties pick the lowest edge. A constant
     input is reported as degenerate with the constant as the threshold.
 
-    When the span, a class sum or a variance overflows float64 (values near
-    the float64 limit), the edges and sums are taken again on the values
-    scaled by a power of two into [-1, 1]. Every other input is computed
-    unscaled and keeps its bits.
+    The edges, class sums and variances are taken on the values times
+    2**-e, with e the binary exponent of the largest magnitude, so every
+    scaled value lies in (-1, 1): no sum or variance overflows near the
+    float64 limit, and the variances of tiny values do not flush to zero.
+    A power-of-two scale is exact, so the edge, scaled back by 2**e, is
+    the one unscaled arithmetic picks wherever neither overflows or
+    underflows. Class membership is decided on the values themselves.
     """
     vals = np.asarray(values, dtype=np.float64).ravel()
     if vals.size == 0:
@@ -183,10 +155,17 @@ def otsu_threshold(values) -> OtsuResult:
         return OtsuResult(lo, True)
 
     ordered = np.sort(vals)
-    edge = _otsu_edge(ordered, lo, hi, 0) if math.isfinite(hi - lo) else None
-    if edge is None:
-        edge = _otsu_edge(ordered, lo, hi, math.frexp(max(-lo, hi))[1])
-    return OtsuResult(edge, False)
+    exponent = math.frexp(max(-lo, hi))[1]
+    edges = np.ldexp(np.linspace(math.ldexp(lo, -exponent), math.ldexp(hi, -exponent), 257), exponent)
+    # c0[t] = #values strictly below edges[t+1], matching bin membership.
+    c0 = np.searchsorted(ordered, edges[1:256], side="left")
+    c1 = ordered.size - c0
+    prefix = np.concatenate(([0.0], np.cumsum(np.ldexp(ordered, -exponent))))
+    s0 = prefix[c0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_diff = s0 / c0 - (prefix[-1] - s0) / c1
+    variance = np.where((c0 > 0) & (c1 > 0), c0 * c1 * mean_diff * mean_diff, -np.inf)
+    return OtsuResult(float(edges[1 + int(np.argmax(variance))]), False)
 
 
 # Bytes of the widest array of one block of rows (RANSAC hypotheses or
@@ -649,8 +628,10 @@ ST_MATRIX_BYTES = 2**31
 def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult:
     """Greedy spectral matching on the thresholded rigidity matrix.
 
-    M holds pairwise rigidity scores that clear ``t_st`` (zero diagonal);
-    its principal eigenvector ranks each correspondence's association with
+    M holds pairwise rigidity scores that clear ``t_st``. Its diagonal is
+    zero as the blocks compute it: a correspondence paired with itself has
+    zero lengths, which score 0 (:func:`_rigidity_from_lengths`). Its
+    principal eigenvector ranks each correspondence's association with
     the main consistent cluster. Correspondences are accepted greedily in
     descending rank (equal entries in index order), skipping any whose
     source or target keypoint equals that of an accepted one (the
@@ -691,7 +672,6 @@ def group_st(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
                                        pairwise_lengths(tgt, rows, upper), out=matrix[rows, rows.start:])
         block *= block >= params.t_st
         matrix[rows.stop:, rows] = block[:, rows.stop - rows.start:].T
-    np.fill_diagonal(matrix, 0.0)
     if not matrix.any():
         return GroupingResult(())
 
@@ -941,7 +921,7 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
 
     local_voters = np.empty(n, dtype=np.int64)
     local_votes = np.empty(n, dtype=np.int64)
-    vote_mask = np.empty((n, kappa), dtype=bool)
+    global_votes = np.empty(n, dtype=np.int64)
     for rows in _row_blocks(n, 8 * n):
         source_dist = pairwise_lengths(src, rows)
         target_dist = pairwise_lengths(tgt, rows, read)
@@ -969,14 +949,14 @@ def group_si(cset: CorrespondenceSet, params: AlgorithmParams) -> GroupingResult
         del source_dist, target_dist  # freed before the vote allocates its planes
         local_votes[rows] = (np.take(near, read, axis=1) & rigid).view(np.uint8).sum(axis=1, dtype=np.uint32)
 
-        vote_mask[rows] = rigid[:, :kappa] & _si_screened_vote(
+        global_votes[rows] = (rigid[:, :kappa] & _si_screened_vote(
             table, coef[rows], margin[rows], motions[rows], src[rows], tgt[rows],
-            voter_src_t, voter_tgt_t, screen.limit)
+            voter_src_t, voter_tgt_t, screen.limit)).view(np.uint8).sum(axis=1, dtype=np.uint32)
     # A candidate in the voter pool trivially agrees with its own induced
     # motion; without the self-vote the zero self-rigidity (duplicate-pair
-    # rule) would cap perfect candidates below score 1.
-    vote_mask[global_voters, np.arange(kappa)] = True
-    global_votes = vote_mask.view(np.uint8).sum(axis=1, dtype=np.uint32)
+    # rule) would cap perfect candidates below score 1. That zero keeps the
+    # voter's own column out of its block's count, so the self-vote adds one.
+    global_votes[global_voters] += 1
 
     denominator = local_voters + kappa
     scores = (local_votes + global_votes) / denominator

@@ -89,9 +89,10 @@ NEAR_LIMIT = [FLOAT_MAX, -FLOAT_MAX, 1.7e308, -1.7e308, 1e308, -1e308, 5e307, 0.
 
 
 class TestOtsuNearTheFloatLimit:
-    """Values whose span, class sums or variances overflow float64 are scaled
-    by a power of two; the threshold still lies in [min, max] and no
-    overflow warning is raised."""
+    """Values near either end of the float64 range. Every input's edges, class
+    sums and variances are taken on the values scaled by a power of two, so
+    none overflows and the variances of tiny values do not flush to zero;
+    the threshold lies in [min, max] and no warning is raised."""
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.one_of(st.sampled_from(NEAR_LIMIT),
@@ -119,6 +120,18 @@ class TestOtsuNearTheFloatLimit:
             warnings.simplefilter("error")
             threshold, _ = otsu_threshold(values)
         assert threshold == np.ldexp(otsu_oracle(np.ldexp(values, -1024)), 1024)
+
+    @pytest.mark.parametrize("power", [600, 900, 1000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tiny_values_match_oracle(self, seed, power):
+        # Unscaled, every class variance of these values flushes to zero,
+        # which would pick the lowest edge.
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(2.0**-20, 1.0, size=rng.integers(20, 60))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            threshold, _ = otsu_threshold(values * 2.0**-power)
+        assert threshold == np.ldexp(otsu_oracle(values), -power)
 
     def test_ss_keeps_the_upper_class(self):
         sims = [-1e308, -5e307, 5e307, 1e308]

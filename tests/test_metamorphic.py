@@ -10,12 +10,20 @@ or in one block. Only indices are compared. RANSAC draws its samples by
 index, so only scaling applies to it. 3dhv gets a fixed source cloud,
 scaled with the set: its default cloud, the source keypoints, has a
 centroid whose bits change with the row order.
+
+Two scalings reach the ends of the float64 range. ss's adaptive cutoff
+keeps its indices when the similarities alone are scaled by 2^k for any
+|k| <= 1000. A generated torus set keeps every algorithm's indices at
+2^-520; at 2^-540 (coordinates near 1e-163) ransac, st, gc and si
+square lengths and residuals that underflow, which the strict xfail
+pins until that is mended.
 """
 
 import contextlib
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corrgroup import (
@@ -31,6 +39,13 @@ from corrgroup import (
     group_st,
 )
 from corrgroup.corr_model import pairwise_distance_residuals
+from corrgroup.synthbench import (
+    CorrespondenceRecipe,
+    SceneRecipe,
+    generate_correspondences,
+    generate_scene,
+    make_test_model,
+)
 from test_row_blocks import pairwise_blocks
 from test_selection_oracles import float_set
 
@@ -99,3 +114,47 @@ def test_power_of_two_scaling_keeps_the_indices(seed, n, inlier_share, name, kap
     params = parameters(kappa)
     scaled = grouped(name, transformed(cset, factor=2.0**power), params, rows, 2.0**power)
     assert scaled == grouped(name, cset, params, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), power=st.integers(-1000, 1000))
+@example(seed=0, n=60, power=-1000)
+def test_power_of_two_scaling_of_the_similarities_keeps_ss_indices(seed, n, power):
+    cset = float_set(seed, n, 0.5)
+    scaled = CorrespondenceSet.from_arrays(
+        cset.source_points, cset.target_points, cset.similarities * 2.0**power, cset.nn_distances,
+        cset.second_nn_distances, cset.source_resolution_pr)
+    params = AlgorithmParams()
+    assert group_ss(scaled, params).inlier_indices == group_ss(cset, params).inlier_indices
+
+
+def torus_set():
+    """A fixed generated set: 100 keypoints of a 1000-point torus, 30 % inliers."""
+    model = make_test_model("torus", 1000, 0)
+    scene, truth = generate_scene(model, SceneRecipe(rotation_seed=1, rng_seed=2))
+    return generate_correspondences(model, scene, truth, CorrespondenceRecipe(
+        n_total=100, inlier_ratio=0.3, lrf_noise_deg=5.0, rng_seed=3))
+
+
+def keeps_the_indices_at(name, power):
+    cset, params, factor = torus_set(), parameters(250), 2.0**power
+    return grouped(name, transformed(cset, factor=factor), params, None, factor) == \
+        grouped(name, cset, params, None)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_tiny_coordinates_keep_the_indices(name):
+    assert keeps_the_indices_at(name, -520)
+
+
+@pytest.mark.parametrize("name", ["3dhv", "nnsr", "ss"])
+def test_coordinates_near_1e_163_keep_the_indices(name):
+    assert keeps_the_indices_at(name, -540)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="squared lengths and residuals underflow at coordinates near 1e-163 "
+                          "(FOUND in CHANGES.md: the tiny-coordinate fault)")
+@pytest.mark.parametrize("name", ["gc", "ransac", "si", "st"])
+def test_coordinates_near_1e_163_keep_the_pairwise_indices(name):
+    assert keeps_the_indices_at(name, -540)
